@@ -52,7 +52,7 @@ cocoa = categories.index("cocoa")
 for action in [NEXT, classify(cocoa), STOP]:
     state = transition(state, action, "mono")
     print(f"after {str(action):14} cursor={state.p} assigned={state.assigned} halted={state.halted}")
-    if not is_terminal(state, "mono"):
+    if not is_terminal(state):
         print(f"  -> legal now: {[str(a) for a in available_actions(state, 'mono')]}")
 
 print(f"\nfinal F1 against the true labels: {prf1(doc.y, state.assigned)[2]:.1f}")

@@ -9,7 +9,7 @@ scores that drove each decision. Takes around half a minute.
 import numpy as np
 
 from stc import synthetic
-from stc.corpus import CategorySet, build_vocabulary, make_splits, vectorize_corpus
+from stc.corpus import CategorySet, make_splits, prepare_split
 from stc.evaluation import evaluate_policy, micro_f1, reading_size
 from stc.learn import RolloutConfig, policy_iteration
 from stc.mdp import initial_state, is_terminal, transition
@@ -28,11 +28,7 @@ categories = CategorySet.from_documents(raw)
 print(f"synthetic corpus: {len(raw)} documents, classes {categories.names}")
 
 split = make_splits(raw, train_fraction=0.5, n_runs=1, seed=3)[0]
-by_id = {d.id: d for d in raw}
-train_raw = [by_id[i] for i in split.train_ids]
-vocab = build_vocabulary(train_raw)
-train = vectorize_corpus(train_raw, vocab, categories, "mono")
-test = vectorize_corpus([by_id[i] for i in split.test_ids], vocab, categories, "mono")
+vocab, train, test = prepare_split(raw, categories, split, "mono")
 print(f"train {len(train)} / test {len(test)}, vocabulary {len(vocab)} terms\n")
 
 cfg = RolloutConfig(
@@ -61,7 +57,7 @@ true_label = categories.names[int(np.argmax(doc.y))]
 print(f"greedy episode on test document {doc.id} (true label: {true_label}):")
 state = initial_state(doc)
 step = 0
-while not is_terminal(state, "mono"):
+while not is_terminal(state):
     scored = action_scores(result.q, state, "mono")
     action, value = max(scored, key=lambda pair: pair[1])
     step += 1

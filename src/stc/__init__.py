@@ -21,6 +21,7 @@ from .corpus import (
     corpus_stats,
     load_jsonl,
     make_splits,
+    prepare_split,
     save_jsonl,
     vectorize_corpus,
     vectorize_sentence,

@@ -22,7 +22,7 @@ from .baseline import BaselineModel, predict_baseline, train_baseline
 from .config import ConfigError, RunConfig, load_config
 from .corpus import CategorySet, Vocabulary
 from .mdp import run_episode
-from .policy import Greedy, LinearQ, action_scores, load_model, policy_callable, save_model
+from .policy import Greedy, LinearQ, load_model, q_value, save_model, select_action
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -41,10 +41,6 @@ def _load_corpus(path) -> list:
     if not docs:
         raise ValueError(f"corpus {path} contains no documents")
     return docs
-
-
-def _get_split(raw_docs, fraction: float, run: int, seed: int) -> corpus_mod.Split:
-    return corpus_mod.make_splits(raw_docs, fraction, run + 1, seed)[run]
 
 
 def cmd_convert(args) -> int:
@@ -85,21 +81,15 @@ def cmd_convert(args) -> int:
 def _prepare(cfg: RunConfig, fraction: float, run: int):
     raw_docs = _load_corpus(cfg.corpus)
     categories = CategorySet.from_documents(raw_docs)
-    split = _get_split(raw_docs, fraction, run, cfg.seed)
-    by_id = {d.id: d for d in raw_docs}
-    train_raw = [by_id[i] for i in split.train_ids]
-    test_raw = [by_id[i] for i in split.test_ids]
-    vocab = corpus_mod.build_vocabulary(train_raw)
-    train_docs = corpus_mod.vectorize_corpus(train_raw, vocab, categories, cfg.mode)
-    test_docs = corpus_mod.vectorize_corpus(test_raw, vocab, categories, cfg.mode)
-    return categories, split, vocab, train_docs, test_docs
+    split = corpus_mod.make_splits(raw_docs, fraction, run + 1, cfg.seed)[run]
+    return (categories, *corpus_mod.prepare_split(raw_docs, categories, split, cfg.mode))
 
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config, _config_overrides(args))
     fraction = args.fraction if args.fraction is not None else cfg.fractions[0]
     run = args.run
-    categories, split, vocab, train_docs, _ = _prepare(cfg, fraction, run)
+    categories, vocab, train_docs, _ = _prepare(cfg, fraction, run)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     metadata = {
         "corpus": str(cfg.corpus),
@@ -144,9 +134,12 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg = load_config(args.config, _config_overrides(args))
     record = load_model(args.model)
+    if record["mode"] != cfg.mode:
+        _eprint(f"evaluate: the model was trained for mode {record['mode']!r}, the config asks for {cfg.mode!r}")
+        return EXIT_VALIDATION
     fraction = args.fraction if args.fraction is not None else record["metadata"]["fraction"]
     run = args.run if args.run is not None else record["metadata"]["run"]
-    categories, split, vocab, _, test_docs = _prepare(cfg, fraction, run)
+    categories, vocab, _, test_docs = _prepare(cfg, fraction, run)
     if vocab.checksum() != record["vocab_checksum"]:
         raise ValueError(
             "vocabulary checksum mismatch: the model was trained on a different split or corpus"
@@ -234,16 +227,13 @@ def cmd_trace(args) -> int:
     print(f"doc {doc.id}: {doc.n_sentences} sentence(s), labels: "
           f"{', '.join(n for n, v in zip(categories.names, doc.y) if v)}")
     step = 0
-    while not is_terminal(state, mode):
-        scored = dict()
-        pairs = action_scores(q, state, mode)
-        chosen = max(range(len(pairs)), key=lambda i: (pairs[i][1], -i))
-        action, value = pairs[chosen]
+    while not is_terminal(state):
+        action = select_action(Greedy(q), state, mode)
         label = str(action)
         if action.kind == "classify":
             label = f"classify:{categories.names[action.category]}"
         step += 1
-        print(f"step {step}: p={state.p} action={label} q={value:.6f}")
+        print(f"step {step}: p={state.p} action={label} q={q_value(q, state, action):.6f}")
         state = transition(state, action, mode)
     reward = prf1(doc.y, state.assigned)[2]
     print(f"reward: {reward:.6f}  read {state.p}/{doc.n_sentences} sentence(s)")

@@ -175,13 +175,20 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
     fractions = merged["fractions"]
     if not fractions or not all(isinstance(f, (int, float)) and 0.0 < f < 1.0 for f in fractions):
         raise ConfigError("fractions must be numbers strictly between 0 and 1")
-    for key in ("n_runs", "workers"):
-        if not isinstance(merged[key], int) or merged[key] < 1:
-            raise ConfigError(f"{key} must be a positive integer")
+    if len(set(fractions)) != len(fractions):
+        raise ConfigError("fractions must not repeat")
+    for name in ("n_runs", "workers", "stc.n_states", "stc.rollouts_per_state", "stc.iterations",
+                 "stc.epochs", "baseline.epochs", "histogram.bins"):
+        value = merged[name.replace(".", "_")]
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ConfigError(f"{name} must be a positive integer")
     for key in ("stc_lambda_grid", "baseline_lambda_grid"):
         grid = merged[key]
         if not grid or not all(isinstance(v, (int, float)) and v > 0 for v in grid):
             raise ConfigError(f"{key.replace('_', '.', 1)} must be positive numbers")
+    hist_fraction = merged["histogram_fraction"]
+    if hist_fraction is not None and not (isinstance(hist_fraction, (int, float)) and 0.0 < hist_fraction < 1.0):
+        raise ConfigError("histogram.fraction must be null or a number strictly between 0 and 1")
 
     output_dir = Path(merged["output_dir"])
     if not output_dir.is_absolute():

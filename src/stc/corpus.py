@@ -19,6 +19,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -39,6 +40,7 @@ __all__ = [
     "build_vocabulary",
     "vectorize_sentence",
     "vectorize_corpus",
+    "prepare_split",
     "make_splits",
     "corpus_stats",
 ]
@@ -61,6 +63,15 @@ class RawDocument:
             raise ValueError(f"document {self.id!r} has no labels")
         if not self.sentences:
             raise ValueError(f"document {self.id!r} has no sentences")
+
+    @cached_property
+    def tokens(self) -> list[list[str]]:
+        """Preprocessed tokens of each sentence, computed on first use.
+
+        Tokenizing does not depend on the split a document lands in, so
+        every split of a corpus shares these lists.
+        """
+        return [preprocess.preprocess_sentence(s) for s in self.sentences]
 
 
 @dataclass(frozen=True)
@@ -169,10 +180,6 @@ class Split:
             "test": list(self.test_ids),
             "empty_train_categories": list(self.empty_train_categories),
         }
-
-
-def _tokenized(doc: RawDocument) -> list[list[str]]:
-    return [preprocess.preprocess_sentence(s) for s in doc.sentences]
 
 
 def _raw_document_from_record(record: dict, line_no: int) -> RawDocument | None:
@@ -304,7 +311,7 @@ def build_vocabulary(train_docs: list[RawDocument]) -> Vocabulary:
     df: Counter[str] = Counter()
     for doc in train_docs:
         doc_terms: set[str] = set()
-        for tokens in _tokenized(doc):
+        for tokens in doc.tokens:
             for term in tokens:
                 if term not in index:
                     index[term] = len(index)
@@ -349,9 +356,8 @@ def vectorize_corpus(
         if mode == MONO_LABEL and len(raw.labels) != 1:
             raise ValueError(f"document {raw.id!r} has {len(raw.labels)} labels in mono-label mode")
         y = categories.label_vector(raw.labels)
-        sentence_tokens = _tokenized(raw)
-        sentence_vectors = [vectorize_sentence(t, vocab) for t in sentence_tokens]
-        all_tokens = [t for tokens in sentence_tokens for t in tokens]
+        sentence_vectors = [vectorize_sentence(t, vocab) for t in raw.tokens]
+        all_tokens = [t for tokens in raw.tokens for t in tokens]
         global_vector = vectorize_sentence(all_tokens, vocab)
         docs.append(
             Document(
@@ -362,6 +368,23 @@ def vectorize_corpus(
             )
         )
     return docs
+
+
+def prepare_split(
+    raw_docs: list[RawDocument],
+    categories: CategorySet,
+    split: Split,
+    mode: TaskMode,
+) -> tuple[Vocabulary, list[Document], list[Document]]:
+    """Vocabulary and idf from the split's training side, and the vectors
+    of both sides against that vocabulary."""
+    by_id = {d.id: d for d in raw_docs}
+    train_raw = [by_id[i] for i in split.train_ids]
+    test_raw = [by_id[i] for i in split.test_ids]
+    vocab = build_vocabulary(train_raw)
+    train_docs = vectorize_corpus(train_raw, vocab, categories, mode)
+    test_docs = vectorize_corpus(test_raw, vocab, categories, mode)
+    return vocab, train_docs, test_docs
 
 
 def make_splits(

@@ -20,7 +20,7 @@ import numpy as np
 from . import corpus as corpus_mod
 from .baseline import predict_baseline, train_baseline
 from .corpus import CategorySet, Document, RawDocument, Split, TaskMode
-from .learn import RolloutConfig, policy_iteration
+from .learn import RolloutConfig, derived_seed, policy_iteration
 from .mdp import EpisodeLog, run_episode
 from .policy import ClassifierConfig, Greedy, policy_callable
 
@@ -187,44 +187,32 @@ class ExperimentReport:
     complete: bool
 
 
-def _derived_seed(*parts: int) -> int:
-    return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
+# What every split job of the running experiment shares: the corpus, its
+# categories and the plan. run_experiment sets it before the worker pool
+# forks, so workers inherit it instead of unpickling it with each job.
+_job_context: tuple[list[RawDocument], CategorySet, ExperimentPlan] | None = None
 
 
-def _prepare_split(
-    raw_docs: list[RawDocument],
-    categories: CategorySet,
-    split: Split,
-    mode: TaskMode,
-) -> tuple[list[Document], list[Document]]:
-    by_id = {d.id: d for d in raw_docs}
-    train_raw = [by_id[i] for i in split.train_ids]
-    test_raw = [by_id[i] for i in split.test_ids]
-    vocab = corpus_mod.build_vocabulary(train_raw)
-    train_docs = corpus_mod.vectorize_corpus(train_raw, vocab, categories, mode)
-    test_docs = corpus_mod.vectorize_corpus(test_raw, vocab, categories, mode)
-    return train_docs, test_docs
-
-
-def _run_split_job(args) -> tuple[list[CellResult], dict[float, list[float]]]:
+def _run_split_job(job: tuple[Split, int]) -> tuple[list[CellResult], dict[float, list[EpisodeLog]]]:
     """All method/lambda cells for one (fraction, run) split.
 
     Returns the cells plus, when the split's fraction is the histogram
-    fraction, the per-lambda read-fraction lists of the reading agent.
+    fraction, the reading agent's test-side episode logs per lambda.
     """
-    raw_docs, categories, split, plan, fraction_index = args
+    raw_docs, categories, plan = _job_context
+    split, fraction_index = job
     cells: list[CellResult] = []
-    ratios_by_lambda: dict[float, list[float]] = {}
+    logs_by_lambda: dict[float, list[EpisodeLog]] = {}
     fraction, run = split.train_fraction, split.run_index
     try:
-        train_docs, test_docs = _prepare_split(raw_docs, categories, split, plan.mode)
+        _, train_docs, test_docs = corpus_mod.prepare_split(raw_docs, categories, split, plan.mode)
     except Exception as exc:  # noqa: BLE001 - cell errors are recorded, not raised
         message = f"split preparation failed: {exc}"
         for lam in plan.baseline_lambda_grid:
             cells.append(CellResult("baseline", fraction, run, lam, error=message))
         for lam in plan.stc_lambda_grid:
             cells.append(CellResult("stc", fraction, run, lam, error=message))
-        return cells, ratios_by_lambda
+        return cells, logs_by_lambda
 
     n_categories = len(categories)
     for lam_index, lam in enumerate(plan.baseline_lambda_grid):
@@ -233,7 +221,7 @@ def _run_split_job(args) -> tuple[list[CellResult], dict[float, list[float]]]:
             cfg = replace(
                 plan.baseline,
                 lam=lam,
-                seed=_derived_seed(plan.seed, 1, fraction_index, run, lam_index),
+                seed=derived_seed(plan.seed, 1, fraction_index, run, lam_index),
             )
             model = train_baseline(train_docs, cfg, plan.mode)
             preds = [
@@ -253,7 +241,7 @@ def _run_split_job(args) -> tuple[list[CellResult], dict[float, list[float]]]:
             rollout_cfg = replace(
                 plan.rollout,
                 classifier=classifier,
-                seed=_derived_seed(plan.seed, 2, fraction_index, run, lam_index),
+                seed=derived_seed(plan.seed, 2, fraction_index, run, lam_index),
             )
             result = policy_iteration(train_docs, plan.mode, rollout_cfg)
             preds, logs = evaluate_policy(Greedy(result.q), test_docs, plan.mode)
@@ -261,11 +249,11 @@ def _run_split_job(args) -> tuple[list[CellResult], dict[float, list[float]]]:
             cell.macro_f1 = macro_f1(preds, n_categories)
             cell.reading_size = reading_size(logs)
             if plan.histogram_fraction is not None and fraction == plan.histogram_fraction:
-                ratios_by_lambda[lam] = [log.sentences_read / log.n_sentences for log in logs]
+                logs_by_lambda[lam] = logs
         except Exception as exc:  # noqa: BLE001
             cell.error = str(exc)
         cells.append(cell)
-    return cells, ratios_by_lambda
+    return cells, logs_by_lambda
 
 
 def _aggregate(plan: ExperimentPlan, cells: list[CellResult]) -> list[AggregateRow]:
@@ -314,48 +302,42 @@ def run_experiment(raw_docs: list[RawDocument], plan: ExperimentPlan) -> Experim
     order, so the report is identical for any worker count. Failed cells
     carry their error message and mark the report incomplete.
     """
+    global _job_context
     categories = CategorySet.from_documents(raw_docs)
     jobs = []
     for fraction_index, fraction in enumerate(plan.fractions):
-        splits = corpus_mod.make_splits(raw_docs, fraction, plan.n_runs, plan.seed)
-        for split in splits:
-            jobs.append((raw_docs, categories, split, plan, fraction_index))
+        for split in corpus_mod.make_splits(raw_docs, fraction, plan.n_runs, plan.seed):
+            jobs.append((split, fraction_index))
 
-    if plan.workers > 1:
-        import multiprocessing
+    for doc in raw_docs:
+        doc.tokens  # tokenize once here, so forked workers inherit the tokens
+    _job_context = (raw_docs, categories, plan)
+    try:
+        if plan.workers > 1:
+            import multiprocessing
 
-        with multiprocessing.get_context("fork").Pool(plan.workers) as pool:
-            outcomes = pool.map(_run_split_job, jobs)
-    else:
-        outcomes = [_run_split_job(job) for job in jobs]
+            with multiprocessing.get_context("fork").Pool(plan.workers) as pool:
+                outcomes = pool.map(_run_split_job, jobs)
+        else:
+            outcomes = [_run_split_job(job) for job in jobs]
+    finally:
+        _job_context = None
 
     cells: list[CellResult] = []
-    histogram_ratios: dict[float, list[float]] = {}
-    for job_cells, ratios_by_lambda in outcomes:
+    histogram_logs: dict[float, list[EpisodeLog]] = {}
+    for job_cells, logs_by_lambda in outcomes:
         cells.extend(job_cells)
-        for lam, ratios in ratios_by_lambda.items():
-            histogram_ratios.setdefault(lam, []).extend(ratios)
+        for lam, logs in logs_by_lambda.items():
+            histogram_logs.setdefault(lam, []).extend(logs)
 
     aggregates = _aggregate(plan, cells)
 
     histogram = None
-    if plan.histogram_fraction is not None and histogram_ratios:
-        chosen = [
-            row.lam
-            for row in aggregates
-            if row.method == "stc" and row.fraction == plan.histogram_fraction
-        ]
-        lam = chosen[0] if chosen else sorted(histogram_ratios)[0]
-        ratios = histogram_ratios.get(lam, [])
-        if ratios:
-            counts = [0] * plan.histogram_bins
-            for ratio in ratios:
-                k = min(plan.histogram_bins - 1, max(0, math.ceil(ratio * plan.histogram_bins) - 1))
-                counts[k] += 1
-            histogram = [
-                (k / plan.histogram_bins, (k + 1) / plan.histogram_bins, counts[k])
-                for k in range(plan.histogram_bins)
-            ]
+    if histogram_logs:
+        # Logs exist only for cells that succeeded, so the histogram
+        # fraction has an stc row; its lambda picks the logs to bin.
+        lam = next(r.lam for r in aggregates if r.method == "stc" and r.fraction == plan.histogram_fraction)
+        histogram = reading_histogram(histogram_logs[lam], plan.histogram_bins)
 
     complete = all(c.error is None for c in cells)
     return ExperimentReport(plan=plan, cells=cells, aggregates=aggregates, histogram=histogram, complete=complete)
@@ -419,8 +401,8 @@ def write_report_files(report: ExperimentReport, out_dir) -> dict[str, str]:
                 [
                     row.method,
                     _format_value(row.fraction),
-                    row.n_runs,
                     _format_value(row.lam),
+                    row.n_runs,
                     _format_value(row.micro_f1_mean),
                     _format_value(row.micro_f1_std),
                     _format_value(row.macro_f1_mean),

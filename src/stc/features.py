@@ -15,7 +15,7 @@ import numpy as np
 
 from .corpus import Document
 from .mdp import Action, MdpState
-from .sparse import SparseVector, sparse_mean
+from .sparse import SparseVector
 
 __all__ = [
     "state_dim",

@@ -52,6 +52,7 @@ __all__ = [
     "rollout_return",
     "build_training_set",
     "mean_episode_reward",
+    "derived_seed",
     "policy_iteration",
 ]
 
@@ -117,7 +118,7 @@ def sample_state(
     for _ in range(budget):
         action = select_action(policy, state, mode, rng)
         state = transition(state, action, mode)
-        if is_terminal(state, mode):
+        if is_terminal(state):
             return visited[int(rng.integers(len(visited)))]
         visited.append(state)
     raise RuntimeError(f"policy failed to terminate on document {doc.id!r}")
@@ -139,7 +140,7 @@ def rollout_return(
     for _ in range(n_rollouts):
         current = transition(state, first_action, mode)
         steps = 0
-        while not is_terminal(current, mode):
+        while not is_terminal(current):
             if steps > budget:
                 raise RuntimeError("rollout exceeded the episode step budget")
             action = select_action(policy, current, mode, rng)
@@ -194,8 +195,9 @@ def mean_episode_reward(docs: list[Document], policy: Policy, mode: TaskMode) ->
     return float(np.mean([run_episode(doc, step, mode).reward for doc in docs]))
 
 
-def _derived_seed(seed: int, salt: int) -> int:
-    return int(np.random.SeedSequence([seed, salt]).generate_state(1)[0])
+def derived_seed(*parts: int) -> int:
+    """One 32-bit seed drawn from the SeedSequence of ``parts``."""
+    return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
 def policy_iteration(
@@ -224,7 +226,7 @@ def policy_iteration(
     best_reward = -np.inf
     stalled_rounds = 0
     for iteration in range(1, cfg.iterations + 1):
-        round_cfg = replace(cfg, seed=_derived_seed(cfg.seed, iteration))
+        round_cfg = replace(cfg, seed=derived_seed(cfg.seed, iteration))
         batch = build_training_set(train_docs, current, mode, round_cfg)
         if not batch.examples:
             raise RuntimeError(f"iteration {iteration}: every sampled state tied; no training examples")

@@ -146,7 +146,7 @@ def transition(state: MdpState, action: Action, mode: TaskMode) -> MdpState:
     return MdpState(state.doc, state.p, state.assigned, True)
 
 
-def is_terminal(state: MdpState, mode: TaskMode) -> bool:
+def is_terminal(state: MdpState) -> bool:
     # Stop is available in every live state, so terminal <=> halted.
     return state.halted
 
@@ -173,7 +173,7 @@ def prf1(y: Sequence[int], y_hat: Sequence[int]) -> tuple[float, float, float]:
 def reward(state: MdpState, action: Action, y: Sequence[int], mode: TaskMode) -> float:
     """F1 of the assignment when the action halts the episode, else 0."""
     successor = transition(state, action, mode)
-    if is_terminal(successor, mode):
+    if is_terminal(successor):
         return prf1(y, successor.assigned)[2]
     return 0.0
 
@@ -200,12 +200,12 @@ def run_episode(
     total_reward = 0.0
     max_p = state.p
     step_budget = max_episode_steps(doc, len(doc.y))
-    while not is_terminal(state, mode):
+    while not is_terminal(state):
         if len(actions) >= step_budget:
             raise RuntimeError(f"episode on {doc.id!r} exceeded its step budget")
         action = policy(state)
         state = transition(state, action, mode)
-        if is_terminal(state, mode):
+        if is_terminal(state):
             total_reward += prf1(doc.y, state.assigned)[2]
         actions.append(action)
         max_p = max(max_p, state.p)

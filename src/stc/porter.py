@@ -9,6 +9,8 @@ conventional for this algorithm.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 __all__ = ["porter_stem"]
 
 _VOWELS = frozenset("aeiou")
@@ -201,12 +203,14 @@ def _step5b(word: str) -> str:
     return word
 
 
+@lru_cache(maxsize=None)
 def porter_stem(token: str) -> str:
     """Stem one lowercase word.
 
     Tokens shorter than three characters or containing non-alphabetic
     characters (digits survive the preprocessing pipeline) are returned
-    unchanged.
+    unchanged. Results are memoized: a corpus repeats few distinct words
+    many times, and every occurrence of a word then shares one stem string.
     """
     if len(token) <= 2 or not token.isalpha():
         return token

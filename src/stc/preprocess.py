@@ -69,11 +69,9 @@ def preprocess_sentence(sentence: str) -> list[str]:
     shorter than three characters -> Porter-stem the survivors. Order is
     preserved and the result may be empty.
     """
-    tokens = []
-    for raw in normalize(sentence).split():
-        if is_stopword(raw):
-            continue
-        if len(raw) < _MIN_TOKEN_LEN:
-            continue
-        tokens.append(porter_stem(raw))
-    return tokens
+    stopwords = stopword_set()
+    return [
+        porter_stem(raw)
+        for raw in normalize(sentence).split()
+        if raw not in stopwords and len(raw) >= _MIN_TOKEN_LEN
+    ]

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["SparseVector", "sparse_from_counts", "sparse_mean"]
+__all__ = ["SparseVector", "sparse_from_counts"]
 
 
 @dataclass(frozen=True)
@@ -87,14 +87,3 @@ def sparse_from_counts(counts: dict[int, float], dim: int) -> SparseVector:
     idx, val = zip(*items)
     return SparseVector(np.array(idx, dtype=np.int64), np.array(val, dtype=np.float64), dim)
 
-
-def sparse_mean(vectors: list[SparseVector], dim: int) -> SparseVector:
-    """Arithmetic mean of sparse vectors; the divisor is len(vectors)."""
-    if not vectors:
-        return SparseVector.empty(dim)
-    acc: dict[int, float] = {}
-    for v in vectors:
-        for i, x in zip(v.indices.tolist(), v.values.tolist()):
-            acc[i] = acc.get(i, 0.0) + x
-    inv = 1.0 / len(vectors)
-    return sparse_from_counts({i: x * inv for i, x in acc.items()}, dim)

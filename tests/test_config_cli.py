@@ -90,6 +90,32 @@ class TestConfig:
             load_config(bad)
 
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("histogram", "bins", 0),
+            ("stc", "n_states", "100"),
+            ("stc", "rollouts_per_state", 1.5),
+            ("stc", "iterations", True),
+            ("stc", "epochs", -1),
+            ("baseline", "epochs", None),
+            ("histogram", "fraction", 1.0),
+            ("histogram", "fraction", False),
+            (None, "fractions", [0.5, 0.5]),
+            (None, "n_runs", True),
+        ],
+    )
+    def test_invalid_value_fails_before_compute(self, tmp_path, config_file, section, key, value):
+        raw = json.loads(config_file.read_text())
+        (raw[section] if section else raw)[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError, match=key):
+            load_config(bad)
+        assert main(["experiment", "--config", str(bad)]) == 1
+        assert not (tmp_path / "out").exists()
+
+
 class TestConvert:
     def test_cardoso_roundtrip(self, tmp_path, capsys):
         train = tmp_path / "train.txt"
@@ -168,6 +194,12 @@ class TestTrainEvaluateTrace:
         record["vocab_checksum"] = "0" * 64
         model.write_text(json.dumps(record))
         assert main(["evaluate", "--config", str(config_file), "--model", str(model)]) == 2
+
+    def test_evaluate_rejects_model_of_another_mode(self, config_file, tmp_path):
+        assert main(["train", "--config", str(config_file), "--method", "stc"]) == 0
+        model = tmp_path / "out" / "stc.model.json"
+        assert main(["evaluate", "--config", str(config_file), "--model", str(model), "--mode", "multi"]) == 1
+        assert not (tmp_path / "out" / "metrics_stc.json").exists()
 
     def test_trace_unknown_doc_id(self, config_file, corpus_file, tmp_path):
         assert main(["train", "--config", str(config_file), "--method", "stc"]) == 0

@@ -1,9 +1,12 @@
+import csv
+import json
+
 import numpy as np
 import pytest
 
 from conftest import ScriptedPolicy, make_doc
-from stc import synthetic
-from stc.corpus import MONO_LABEL
+from stc import evaluation, preprocess, synthetic
+from stc.corpus import MONO_LABEL, Split
 from stc.evaluation import (
     ExperimentPlan,
     Prediction,
@@ -240,5 +243,32 @@ class TestRunExperiment:
         dir_a, dir_b = tmp_path / "seq", tmp_path / "par"
         write_report_files(run_experiment(raw, seq_plan), dir_a)
         write_report_files(run_experiment(raw, par_plan), dir_b)
-        for name in ["cells.csv", "aggregate.csv", "report.json"]:
+        for name in ["cells.csv", "aggregate.csv", "report.json", "reading_histogram.csv"]:
             assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes(), name
+
+    def test_aggregate_csv_columns_match_report_json(self, tmp_path):
+        write_report_files(run_experiment(_tiny_corpus(seed=3), _tiny_plan()), tmp_path)
+        with open(tmp_path / "aggregate.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        aggregates = json.loads((tmp_path / "report.json").read_text())["aggregates"]
+        assert len(rows) == len(aggregates)
+        for row, aggregate in zip(rows, aggregates):
+            assert row.pop("method") == aggregate.pop("method")
+            aggregate["lambda"] = aggregate.pop("lam")
+            assert set(row) == set(aggregate)
+            for column, value in aggregate.items():
+                assert (float(row[column]) if row[column] else None) == value, column
+
+    def test_each_sentence_tokenized_once_and_jobs_hold_no_documents(self, monkeypatch):
+        raw = _tiny_corpus(seed=4)
+        calls = []
+        preprocess_sentence = preprocess.preprocess_sentence
+        monkeypatch.setattr(preprocess, "preprocess_sentence", lambda s: calls.append(s) or preprocess_sentence(s))
+        jobs = []
+        run_split_job = evaluation._run_split_job
+        monkeypatch.setattr(evaluation, "_run_split_job", lambda job: jobs.append(job) or run_split_job(job))
+        run_experiment(raw, _tiny_plan(fractions=(0.3, 0.5), n_runs=2, workers=1))
+        assert len(calls) == sum(len(d.sentences) for d in raw)
+        assert len(jobs) == 4
+        assert all(len(job) == 2 and isinstance(job[0], Split) and isinstance(job[1], int) for job in jobs)
+        assert evaluation._job_context is None

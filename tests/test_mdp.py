@@ -129,10 +129,10 @@ class TestTransition:
 class TestTerminal:
     def test_halted_is_terminal(self, tiny_doc):
         state = transition(initial_state(tiny_doc), STOP, MONO_LABEL)
-        assert is_terminal(state, MONO_LABEL)
+        assert is_terminal(state)
 
     def test_fresh_is_not_terminal(self, tiny_doc):
-        assert not is_terminal(initial_state(tiny_doc), MONO_LABEL)
+        assert not is_terminal(initial_state(tiny_doc))
 
     def test_terminal_iff_halted_exhaustive(self):
         # All reachable (p, assigned) combinations for C <= 3, n <= 3:
@@ -147,11 +147,10 @@ class TestTerminal:
                     for mode in (MONO_LABEL, MULTI_LABEL):
                         if mode == MONO_LABEL and sum(bits) > 1:
                             continue
-                        assert not is_terminal(live, mode)
+                        assert not is_terminal(live)
                         assert available_actions(live, mode)
                     halted = MdpState(doc, p, bits, True)
-                    assert is_terminal(halted, MONO_LABEL)
-                    assert is_terminal(halted, MULTI_LABEL)
+                    assert is_terminal(halted)
 
 
 class TestPrf1:

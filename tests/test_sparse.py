@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stc.sparse import SparseVector, sparse_from_counts, sparse_mean
+from stc.sparse import SparseVector, sparse_from_counts
 
 
 def test_roundtrip_dense():
@@ -51,10 +51,3 @@ def test_sparse_from_counts_drops_zeros():
     vec = sparse_from_counts({2: 0.0, 1: 1.0}, 4)
     assert vec.indices.tolist() == [1]
 
-
-def test_mean_matches_dense_mean():
-    rng = np.random.default_rng(1)
-    vecs = [SparseVector.from_dense(rng.random(6) * (rng.random(6) > 0.4)) for _ in range(5)]
-    mean = sparse_mean(vecs, 6)
-    expected = np.mean([v.to_dense() for v in vecs], axis=0)
-    np.testing.assert_allclose(mean.to_dense(), expected, atol=1e-12)
