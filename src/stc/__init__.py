@@ -60,6 +60,7 @@ from .mdp import (
     reward,
     run_episode,
     transition,
+    walk,
 )
 from .policy import (
     ClassifierConfig,

@@ -21,8 +21,8 @@ from . import evaluation, features, learn
 from .baseline import BaselineModel, predict_baseline, train_baseline
 from .config import ConfigError, RunConfig, load_config
 from .corpus import CategorySet, Vocabulary
-from .mdp import run_episode
-from .policy import Greedy, LinearQ, load_model, q_value, save_model, select_action
+from .mdp import initial_state, prf1, walk
+from .policy import Greedy, LinearQ, load_model, policy_callable, q_value, save_model
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -221,22 +221,17 @@ def cmd_trace(args) -> int:
         record["weights"]["theta"], n_categories, features.state_dim(len(vocab), n_categories)
     )
 
-    from .mdp import initial_state, is_terminal, prf1, transition
-
-    state = initial_state(doc)
     print(f"doc {doc.id}: {doc.n_sentences} sentence(s), labels: "
           f"{', '.join(n for n, v in zip(categories.names, doc.y) if v)}")
-    step = 0
-    while not is_terminal(state):
-        action = select_action(Greedy(q), state, mode)
+    states, actions = walk(initial_state(doc), policy_callable(Greedy(q), mode), mode)
+    for step, (state, action) in enumerate(zip(states, actions), start=1):
         label = str(action)
         if action.kind == "classify":
             label = f"classify:{categories.names[action.category]}"
-        step += 1
         print(f"step {step}: p={state.p} action={label} q={q_value(q, state, action):.6f}")
-        state = transition(state, action, mode)
-    reward = prf1(doc.y, state.assigned)[2]
-    print(f"reward: {reward:.6f}  read {state.p}/{doc.n_sentences} sentence(s)")
+    final = states[-1]
+    reward = prf1(doc.y, final.assigned)[2]
+    print(f"reward: {reward:.6f}  read {final.p}/{doc.n_sentences} sentence(s)")
     return EXIT_OK
 
 

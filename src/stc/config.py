@@ -9,7 +9,7 @@ nothing in the pipeline falls back to wall-clock seeding.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .corpus import MONO_LABEL, MULTI_LABEL
@@ -45,22 +45,22 @@ class RunConfig:
     histogram_fraction: float | None = None
     histogram_bins: int = 10
 
-    def rollout_config(self, lam: float | None = None) -> RolloutConfig:
+    def rollout_config(self) -> RolloutConfig:
         return RolloutConfig(
             n_states=self.stc_n_states,
             rollouts_per_state=self.stc_rollouts_per_state,
             iterations=self.stc_iterations,
             seed=self.seed,
             classifier=ClassifierConfig(
-                lam=lam if lam is not None else self.stc_lambda_grid[0],
+                lam=self.stc_lambda_grid[0],
                 epochs=self.stc_epochs,
                 seed=self.seed,
             ),
         )
 
-    def baseline_config(self, lam: float | None = None) -> ClassifierConfig:
+    def baseline_config(self) -> ClassifierConfig:
         return ClassifierConfig(
-            lam=lam if lam is not None else self.baseline_lambda_grid[0],
+            lam=self.baseline_lambda_grid[0],
             epochs=self.baseline_epochs,
             seed=self.seed,
         )
@@ -113,6 +113,19 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _distinct_numbers(value, name: str, valid, requirement: str) -> tuple[float, ...]:
+    """A non-empty list of distinct numbers, each ``requirement``."""
+    if not isinstance(value, (list, tuple)) or not value or not all(_is_number(v) and valid(v) for v in value):
+        raise ConfigError(f"{name} must be a non-empty list of numbers {requirement}")
+    if len(set(value)) != len(value):
+        raise ConfigError(f"{name} must not repeat")
+    return tuple(float(v) for v in value)
+
+
 def load_config(path, overrides: dict | None = None) -> RunConfig:
     """Parse and validate a config file; ``overrides`` (from CLI flags)
     take precedence over file values, which take precedence over defaults."""
@@ -144,16 +157,16 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
         "mode": _require(raw, "mode", "config"),
         "seed": _require(raw, "seed", "config"),
         "output_dir": _require(raw, "output_dir", "config"),
-        "fractions": tuple(raw.get("fractions", DEFAULT_FRACTIONS)),
+        "fractions": raw.get("fractions", DEFAULT_FRACTIONS),
         "n_runs": raw.get("n_runs", 5),
         "workers": raw.get("workers", 1),
         "stc_n_states": stc.get("n_states", 10000),
         "stc_rollouts_per_state": stc.get("rollouts_per_state", 1),
         "stc_iterations": stc.get("iterations", 5),
         "stc_epochs": stc.get("epochs", 5),
-        "stc_lambda_grid": tuple(stc.get("lambda_grid", (1e-3,))),
+        "stc_lambda_grid": stc.get("lambda_grid", (1e-3,)),
         "baseline_epochs": baseline.get("epochs", 5),
-        "baseline_lambda_grid": tuple(baseline.get("lambda_grid", (1e-5, 1e-4, 1e-3))),
+        "baseline_lambda_grid": baseline.get("lambda_grid", (1e-5, 1e-4, 1e-3)),
         "histogram_fraction": histogram.get("fraction"),
         "histogram_bins": histogram.get("bins", 10),
     }
@@ -165,29 +178,25 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
     mode = merged["mode"]
     if mode not in (MONO_LABEL, MULTI_LABEL):
         raise ConfigError(f"mode must be {MONO_LABEL!r} or {MULTI_LABEL!r}, got {mode!r}")
-    if not isinstance(merged["seed"], int):
+    if isinstance(merged["seed"], bool) or not isinstance(merged["seed"], int):
         raise ConfigError("seed must be an integer (wall-clock seeding is not supported)")
     corpus_path = Path(merged["corpus"])
     if not corpus_path.is_absolute():
         corpus_path = path.parent / corpus_path
     if not corpus_path.exists():
         raise ConfigError(f"corpus file does not exist: {corpus_path}")
-    fractions = merged["fractions"]
-    if not fractions or not all(isinstance(f, (int, float)) and 0.0 < f < 1.0 for f in fractions):
-        raise ConfigError("fractions must be numbers strictly between 0 and 1")
-    if len(set(fractions)) != len(fractions):
-        raise ConfigError("fractions must not repeat")
+    fractions = _distinct_numbers(merged["fractions"], "fractions", lambda f: 0.0 < f < 1.0, "strictly between 0 and 1")
     for name in ("n_runs", "workers", "stc.n_states", "stc.rollouts_per_state", "stc.iterations",
                  "stc.epochs", "baseline.epochs", "histogram.bins"):
         value = merged[name.replace(".", "_")]
         if isinstance(value, bool) or not isinstance(value, int) or value < 1:
             raise ConfigError(f"{name} must be a positive integer")
-    for key in ("stc_lambda_grid", "baseline_lambda_grid"):
-        grid = merged[key]
-        if not grid or not all(isinstance(v, (int, float)) and v > 0 for v in grid):
-            raise ConfigError(f"{key.replace('_', '.', 1)} must be positive numbers")
+    stc_lambda_grid = _distinct_numbers(merged["stc_lambda_grid"], "stc.lambda_grid", lambda v: v > 0, "positive")
+    baseline_lambda_grid = _distinct_numbers(
+        merged["baseline_lambda_grid"], "baseline.lambda_grid", lambda v: v > 0, "positive"
+    )
     hist_fraction = merged["histogram_fraction"]
-    if hist_fraction is not None and not (isinstance(hist_fraction, (int, float)) and 0.0 < hist_fraction < 1.0):
+    if hist_fraction is not None and not (_is_number(hist_fraction) and 0.0 < hist_fraction < 1.0):
         raise ConfigError("histogram.fraction must be null or a number strictly between 0 and 1")
 
     output_dir = Path(merged["output_dir"])
@@ -199,16 +208,16 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
         mode=mode,
         seed=merged["seed"],
         output_dir=output_dir,
-        fractions=tuple(float(f) for f in fractions),
+        fractions=fractions,
         n_runs=merged["n_runs"],
         workers=merged["workers"],
         stc_n_states=merged["stc_n_states"],
         stc_rollouts_per_state=merged["stc_rollouts_per_state"],
         stc_iterations=merged["stc_iterations"],
         stc_epochs=merged["stc_epochs"],
-        stc_lambda_grid=tuple(float(v) for v in merged["stc_lambda_grid"]),
+        stc_lambda_grid=stc_lambda_grid,
         baseline_epochs=merged["baseline_epochs"],
-        baseline_lambda_grid=tuple(float(v) for v in merged["baseline_lambda_grid"]),
+        baseline_lambda_grid=baseline_lambda_grid,
         histogram_fraction=merged["histogram_fraction"],
         histogram_bins=merged["histogram_bins"],
     )

@@ -18,7 +18,7 @@ import hashlib
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -146,16 +146,12 @@ class Vocabulary:
         return Vocabulary(index, df, record["n_train_docs"])
 
 
-@dataclass
+@dataclass(eq=False)  # compared and hashed by identity
 class Document:
     id: str
     y: np.ndarray  # int8 binary label vector, length C
     sentence_vectors: list[SparseVector]
     global_vector: SparseVector
-
-    # Per-cursor prefix means of the sentence vectors, built lazily by the
-    # feature code; not part of the document's identity.
-    _prefix_means: list[SparseVector] | None = field(default=None, repr=False, compare=False)
 
     @property
     def n_sentences(self) -> int:

@@ -21,7 +21,7 @@ from . import corpus as corpus_mod
 from .baseline import predict_baseline, train_baseline
 from .corpus import CategorySet, Document, RawDocument, Split, TaskMode
 from .learn import RolloutConfig, derived_seed, policy_iteration
-from .mdp import EpisodeLog, run_episode
+from .mdp import EpisodeLog, prf1, run_episode
 from .policy import ClassifierConfig, Greedy, policy_callable
 
 __all__ = [
@@ -47,49 +47,22 @@ class Prediction:
     y_hat: tuple[int, ...]
 
 
-def _pooled_counts(preds: list[Prediction]) -> tuple[int, int, int]:
-    tp = fp = fn = 0
-    for pred in preds:
-        for gold, guess in zip(pred.y, pred.y_hat):
-            if guess == 1 and gold == 1:
-                tp += 1
-            elif guess == 1:
-                fp += 1
-            elif gold == 1:
-                fn += 1
-    return tp, fp, fn
-
-
-def _f1_from_counts(tp: int, fp: int, fn: int) -> float:
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    if precision + recall == 0.0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
+def _label_matrices(preds: list[Prediction]) -> tuple[np.ndarray, np.ndarray]:
+    if not preds:
+        raise ValueError("no predictions")
+    return np.array([p.y for p in preds]), np.array([p.y_hat for p in preds])
 
 
 def micro_f1(preds: list[Prediction]) -> float:
-    if not preds:
-        raise ValueError("no predictions")
-    return _f1_from_counts(*_pooled_counts(preds))
+    return prf1(*_label_matrices(preds))[2]
 
 
 def macro_f1(preds: list[Prediction], n_categories: int) -> float:
     """Unweighted mean of per-class F1 over all configured classes."""
-    if not preds:
-        raise ValueError("no predictions")
-    total = 0.0
+    y, y_hat = _label_matrices(preds)
+    total = 0.0  # summed left to right: np.mean would sum pairwise
     for k in range(n_categories):
-        tp = fp = fn = 0
-        for pred in preds:
-            gold, guess = pred.y[k], pred.y_hat[k]
-            if guess == 1 and gold == 1:
-                tp += 1
-            elif guess == 1:
-                fp += 1
-            elif gold == 1:
-                fn += 1
-        total += _f1_from_counts(tp, fp, fn)
+        total += prf1(y[:, k], y_hat[:, k])[2]
     return total / n_categories
 
 

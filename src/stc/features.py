@@ -7,6 +7,13 @@ vector. An action is encoded positionally: the state vector is copied
 into one of C + 2 disjoint blocks of a larger vector, indexed
 classify(k) -> k, next -> C, stop -> C + 1, so a single weight vector
 scores every action independently.
+
+A block's score is linear in the state, so its mean and last-sentence
+parts depend only on (document, cursor). ``score_table`` computes them
+for every cursor of a document at once; the greedy policy scores its
+steps from that table and never builds a feature vector. ``phi_state``
+and ``phi_state_action`` build the sparse vectors that training
+examples are made of.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ __all__ = [
     "n_action_blocks",
     "phi_state",
     "phi_state_action",
+    "score_table",
 ]
 
 
@@ -42,47 +50,53 @@ def action_block(action: Action, n_categories: int) -> int:
     return n_categories + 1
 
 
-def _prefix_means(doc: Document) -> list[SparseVector]:
-    """Mean of sentence vectors 1..p for each cursor p, cached on the doc.
-
-    Empty sentences contribute zero vectors; the divisor is always p.
-    """
-    if doc._prefix_means is None:
-        dim = doc.sentence_vectors[0].dim
-        means = []
-        acc: dict[int, float] = {}
-        for p, vec in enumerate(doc.sentence_vectors, start=1):
-            for i, x in zip(vec.indices.tolist(), vec.values.tolist()):
-                acc[i] = acc.get(i, 0.0) + x
-            items = sorted(acc.items())
-            idx = np.array([i for i, _ in items], dtype=np.int64)
-            val = np.array([x for _, x in items]) / p
-            means.append(SparseVector(idx, val, dim))
-        doc._prefix_means = means
-    return doc._prefix_means
-
-
 def phi_state(state: MdpState) -> SparseVector:
-    """Sparse state features [mean of read sentences | last sentence | assigned]."""
+    """Sparse state features [mean of read sentences | last sentence | assigned].
+
+    Empty sentences contribute zero vectors to the mean; the divisor is
+    always p.
+    """
     if state.halted:
         raise ValueError("halted states have no feature representation")
     doc = state.doc
-    vocab_size = doc.sentence_vectors[0].dim
+    read = doc.sentence_vectors[: state.p]
+    vocab_size = read[0].dim
     n_categories = len(state.assigned)
-    mean_vec = _prefix_means(doc)[state.p - 1]
-    last_vec = doc.sentence_vectors[state.p - 1]
+    # bincount adds each term's weights in sentence order.
+    read_idx = np.concatenate([v.indices for v in read])
+    sums = np.bincount(read_idx, weights=np.concatenate([v.values for v in read]))
+    mean_idx = np.unique(read_idx)
+    last_vec = read[-1]
     assigned_idx = [2 * vocab_size + k for k, v in enumerate(state.assigned) if v]
     indices = np.concatenate(
         [
-            mean_vec.indices,
+            mean_idx,
             last_vec.indices + vocab_size,
             np.array(assigned_idx, dtype=np.int64),
         ]
     )
     values = np.concatenate(
-        [mean_vec.values, last_vec.values, np.ones(len(assigned_idx))]
+        [sums[mean_idx] / state.p, last_vec.values, np.ones(len(assigned_idx))]
     )
     return SparseVector(indices, values, state_dim(vocab_size, n_categories))
+
+
+def score_table(doc: Document, blocks: np.ndarray) -> np.ndarray:
+    """Per-cursor action scores of a document without the assigned block.
+
+    Row p - 1, column b holds the mean and last-sentence parts of block
+    b's score at cursor p: cumsum(theta_mean . s_i) / p + theta_last . s_p.
+    ``blocks`` is the (C + 2) x (2V + C) weight matrix. Adding
+    ``blocks[:, 2V:] @ assigned`` gives every action's full score.
+    """
+    vocab_size = doc.sentence_vectors[0].dim
+    dim = state_dim(vocab_size, blocks.shape[0] - 2)
+    if blocks.shape[1] != dim:
+        raise ValueError(f"state features have dim {dim}, scorer expects {blocks.shape[1]}")
+    mean_part = np.stack([blocks[:, v.indices] @ v.values for v in doc.sentence_vectors])
+    last_part = np.stack([blocks[:, v.indices + vocab_size] @ v.values for v in doc.sentence_vectors])
+    cursors = np.arange(1, doc.n_sentences + 1)[:, None]
+    return np.cumsum(mean_part, axis=0) / cursors + last_part
 
 
 def phi_state_action(state: MdpState, action: Action) -> SparseVector:

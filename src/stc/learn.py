@@ -25,11 +25,10 @@ from .mdp import (
     MdpState,
     available_actions,
     initial_state,
-    is_terminal,
-    max_episode_steps,
     prf1,
     run_episode,
     transition,
+    walk,
 )
 from .policy import (
     ClassifierConfig,
@@ -38,7 +37,6 @@ from .policy import (
     Policy,
     UniformRandom,
     policy_callable,
-    select_action,
     train_linear,
 )
 from .sparse import SparseVector
@@ -112,16 +110,9 @@ def sample_state(
     """Pick a training document uniformly, walk the policy's trajectory on
     it, and return one of the visited live states uniformly."""
     doc = train_docs[int(rng.integers(len(train_docs)))]
-    state = initial_state(doc)
-    visited = [state]
-    budget = max_episode_steps(doc, len(doc.y))
-    for _ in range(budget):
-        action = select_action(policy, state, mode, rng)
-        state = transition(state, action, mode)
-        if is_terminal(state):
-            return visited[int(rng.integers(len(visited)))]
-        visited.append(state)
-    raise RuntimeError(f"policy failed to terminate on document {doc.id!r}")
+    states, _ = walk(initial_state(doc), policy_callable(policy, mode, rng), mode)
+    live = states[:-1]
+    return live[int(rng.integers(len(live)))]
 
 
 def rollout_return(
@@ -135,18 +126,11 @@ def rollout_return(
 ) -> float:
     """Estimated return of taking ``first_action`` and then following
     ``policy`` to termination: the mean final F1 over independent rollouts."""
+    step = policy_callable(policy, mode, rng)
     total = 0.0
-    budget = max_episode_steps(state.doc, len(state.assigned))
     for _ in range(n_rollouts):
-        current = transition(state, first_action, mode)
-        steps = 0
-        while not is_terminal(current):
-            if steps > budget:
-                raise RuntimeError("rollout exceeded the episode step budget")
-            action = select_action(policy, current, mode, rng)
-            current = transition(current, action, mode)
-            steps += 1
-        total += prf1(y, current.assigned)[2]
+        states, _ = walk(transition(state, first_action, mode), step, mode)
+        total += prf1(y, states[-1].assigned)[2]
     return total / n_rollouts
 
 

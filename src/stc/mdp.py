@@ -10,6 +10,10 @@ on the halting transition and zero elsewhere.
 In mono-label mode assigning a label restricts the remaining action set
 to {stop}, so an episode carries at most one assignment and its reward is
 the 0/1 accuracy of that choice.
+
+``walk`` is the one episode loop: it follows a policy from any state to
+the halting state, and episodes, state sampling, rollouts and traces
+all read their trajectories from it.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .corpus import Document, MONO_LABEL, MULTI_LABEL, TaskMode
+from .corpus import Document, MONO_LABEL, TaskMode
 
 __all__ = [
     "Action",
@@ -34,6 +38,7 @@ __all__ = [
     "is_terminal",
     "prf1",
     "reward",
+    "walk",
     "run_episode",
     "max_episode_steps",
 ]
@@ -183,37 +188,46 @@ def max_episode_steps(doc: Document, n_categories: int) -> int:
     return doc.n_sentences + n_categories + 1
 
 
+def walk(
+    state: MdpState,
+    policy: Callable[[MdpState], Action],
+    mode: TaskMode,
+) -> tuple[list[MdpState], list[Action]]:
+    """Follow ``policy`` from ``state`` until the episode halts.
+
+    Returns the visited states, ``state`` first and the halted state last,
+    and the actions taken between them. The policy must return a legal
+    action for every live state it sees; an illegal choice raises.
+    Termination is guaranteed within n(doc) + C + 1 steps because every
+    action strictly consumes a finite resource (sentences, unassigned
+    categories, or the episode itself).
+    """
+    states = [state]
+    actions: list[Action] = []
+    step_budget = max_episode_steps(state.doc, len(state.assigned))
+    while not is_terminal(state):
+        if len(actions) >= step_budget:
+            raise RuntimeError(f"episode on {state.doc.id!r} exceeded its step budget")
+        action = policy(state)
+        state = transition(state, action, mode)
+        states.append(state)
+        actions.append(action)
+    return states, actions
+
+
 def run_episode(
     doc: Document,
     policy: Callable[[MdpState], Action],
     mode: TaskMode,
 ) -> EpisodeLog:
-    """Run ``policy`` from the initial state until the episode halts.
-
-    The policy must return a legal action for every live state it sees;
-    an illegal choice raises. Termination is guaranteed within
-    n(doc) + C + 1 steps because every action strictly consumes a finite
-    resource (sentences, unassigned categories, or the episode itself).
-    """
-    state = initial_state(doc)
-    actions: list[Action] = []
-    total_reward = 0.0
-    max_p = state.p
-    step_budget = max_episode_steps(doc, len(doc.y))
-    while not is_terminal(state):
-        if len(actions) >= step_budget:
-            raise RuntimeError(f"episode on {doc.id!r} exceeded its step budget")
-        action = policy(state)
-        state = transition(state, action, mode)
-        if is_terminal(state):
-            total_reward += prf1(doc.y, state.assigned)[2]
-        actions.append(action)
-        max_p = max(max_p, state.p)
+    """Walk ``policy`` from the initial state and log the episode."""
+    states, actions = walk(initial_state(doc), policy, mode)
+    final = states[-1]
     return EpisodeLog(
         doc_id=doc.id,
         actions=tuple(actions),
-        sentences_read=max_p,
+        sentences_read=final.p,  # the cursor never moves back
         n_sentences=doc.n_sentences,
-        final_assigned=state.assigned,
-        reward=total_reward,
+        final_assigned=final.assigned,
+        reward=prf1(doc.y, final.assigned)[2],
     )

@@ -2,10 +2,13 @@
 
 The action scorer is a single weight vector over the block state-action
 feature space; the greedy policy takes the argmax of the scores of the
-legal actions, breaking exact ties toward the fixed action ordering. The
-classifier minimizes an L2-regularized hinge loss by stochastic
-subgradient descent with the 1/(lambda*t) step schedule, and is reused
-one-vs-rest for the whole-document baseline.
+legal actions, breaking exact ties toward the fixed action ordering. A
+scorer reads each step's scores from a per-document table of the mean
+and last-sentence parts (``features.score_table``), built on first use,
+plus the assigned-label part of the state. The classifier minimizes an
+L2-regularized hinge loss by stochastic subgradient descent with step
+size 1/(lambda*t), and is reused one-vs-rest for the whole-document
+baseline.
 """
 
 from __future__ import annotations
@@ -45,6 +48,9 @@ class LinearQ:
     theta: np.ndarray  # length (C + 2) * (2V + C)
     n_categories: int
     state_dim: int  # 2V + C
+    # Per-document score tables (features.score_table), built on first use
+    # and keyed by document identity; theta must not change once one exists.
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.theta = np.asarray(self.theta, dtype=np.float64)
@@ -57,6 +63,16 @@ class LinearQ:
     def blocks(self) -> np.ndarray:
         return self.theta.reshape(features.n_action_blocks(self.n_categories), self.state_dim)
 
+    def block_scores(self, state: MdpState) -> np.ndarray:
+        """Scores of all C + 2 action blocks in a live state."""
+        if state.halted:
+            raise ValueError("halted states have no action scores")
+        blocks = self.blocks()
+        table = self._tables.get(state.doc)
+        if table is None:
+            table = self._tables[state.doc] = features.score_table(state.doc, blocks)
+        return table[state.p - 1] + blocks[:, self.state_dim - self.n_categories :] @ state.assigned
+
     @staticmethod
     def zeros(n_categories: int, state_dim: int) -> "LinearQ":
         blocks = features.n_action_blocks(n_categories)
@@ -68,15 +84,12 @@ class ClassifierConfig:
     lam: float = 1e-3
     epochs: int = 5
     seed: int = 0
-    schedule: str = "inv-lambda-t"
 
     def __post_init__(self):
         if self.lam <= 0:
             raise ValueError("regularization strength must be positive")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.schedule != "inv-lambda-t":
-            raise ValueError(f"unknown learning-rate schedule {self.schedule!r}")
 
 
 @dataclass(frozen=True)
@@ -99,27 +112,13 @@ Policy = Greedy | UniformRandom
 
 
 def q_value(q: LinearQ, state: MdpState, action: Action) -> float:
-    phi = features.phi_state(state)
-    if phi.dim != q.state_dim:
-        raise ValueError(f"state features have dim {phi.dim}, scorer expects {q.state_dim}")
-    block = features.action_block(action, q.n_categories)
-    row = q.blocks()[block]
-    return float(row[phi.indices] @ phi.values)
+    return float(q.block_scores(state)[features.action_block(action, q.n_categories)])
 
 
 def action_scores(q: LinearQ, state: MdpState, mode: str) -> list[tuple[Action, float]]:
     """Scores of every legal action, in the fixed action order."""
-    phi = features.phi_state(state)
-    if phi.dim != q.state_dim:
-        raise ValueError(f"state features have dim {phi.dim}, scorer expects {q.state_dim}")
-    actions = available_actions(state, mode)
-    blocks = np.fromiter(
-        (features.action_block(a, q.n_categories) for a in actions),
-        dtype=np.int64,
-        count=len(actions),
-    )
-    scores = q.blocks()[np.ix_(blocks, phi.indices)] @ phi.values
-    return list(zip(actions, scores.tolist()))
+    scores = q.block_scores(state)
+    return [(a, float(scores[features.action_block(a, q.n_categories)])) for a in available_actions(state, mode)]
 
 
 def select_action(
@@ -135,8 +134,7 @@ def select_action(
     """
     if isinstance(policy, Greedy):
         scored = action_scores(policy.q, state, mode)
-        best = max(range(len(scored)), key=lambda i: (scored[i][1], -i))
-        return scored[best][0]
+        return scored[int(np.argmax([score for _, score in scored]))][0]
     actions = available_actions(state, mode)
     gen = rng if rng is not None else policy.rng()
     return actions[int(gen.integers(len(actions)))]
@@ -225,9 +223,7 @@ def train_multiclass_ovr(
             weights.append(np.zeros(dim))
             empty_classes.append(k)
             continue
-        per_class_cfg = ClassifierConfig(
-            lam=cfg.lam, epochs=cfg.epochs, seed=cfg.seed + k, schedule=cfg.schedule
-        )
+        per_class_cfg = ClassifierConfig(lam=cfg.lam, epochs=cfg.epochs, seed=cfg.seed + k)
         examples = [(x, int(s)) for x, s in zip(xs, signs)]
         weights.append(train_linear(examples, per_class_cfg))
     return weights, empty_classes

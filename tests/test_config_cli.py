@@ -102,7 +102,14 @@ class TestConfig:
             ("histogram", "fraction", 1.0),
             ("histogram", "fraction", False),
             (None, "fractions", [0.5, 0.5]),
+            (None, "fractions", 0.5),
             (None, "n_runs", True),
+            (None, "seed", True),
+            ("stc", "lambda_grid", 0.001),
+            ("stc", "lambda_grid", [0.001, 0.001]),
+            ("stc", "lambda_grid", [True]),
+            ("baseline", "lambda_grid", [1e-4, 1e-4]),
+            ("baseline", "lambda_grid", [True]),
         ],
     )
     def test_invalid_value_fails_before_compute(self, tmp_path, config_file, section, key, value):

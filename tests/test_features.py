@@ -8,6 +8,7 @@ from stc.features import (
     n_action_blocks,
     phi_state,
     phi_state_action,
+    score_table,
     state_dim,
 )
 from stc.mdp import NEXT, STOP, classify, initial_state, transition
@@ -64,6 +65,21 @@ def test_empty_sentences_keep_divisor_p():
     dense = phi_state(state).to_dense()
     # Mean over p=3 sentences, two of them empty.
     assert dense[0] == pytest.approx(1.0 / 3.0, abs=1e-12)
+
+
+def test_score_table_matches_dense_features_with_empty_sentences():
+    # Row p - 1 plus the assigned part is every block's score at cursor p;
+    # empty sentences add nothing to the mean but still count in p.
+    doc = _doc_from_dense([[1.0, 0.0], [0.0, 0.0], [0.6, 0.8], [0.0, 0.0]], [1, 0])
+    blocks = np.random.default_rng(4).standard_normal((4, state_dim(2, 2)))
+    table = score_table(doc, blocks)
+    assert table.shape == (4, 4)
+    state = transition(initial_state(doc), classify(1), MULTI_LABEL)
+    for p in range(1, 5):
+        dense = blocks @ phi_state(state).to_dense()
+        np.testing.assert_allclose(table[p - 1] + blocks[:, 4:] @ state.assigned, dense, rtol=0, atol=1e-12)
+        if p < 4:
+            state = transition(state, NEXT, MULTI_LABEL)
 
 
 def test_state_action_block_placement():

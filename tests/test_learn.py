@@ -8,7 +8,7 @@ from conftest import make_doc
 from stc import corpus as corpus_mod
 from stc import synthetic
 from stc.corpus import MONO_LABEL, MULTI_LABEL, CategorySet
-from stc.features import state_dim
+from stc.features import action_block, phi_state, state_dim
 from stc.learn import (
     LabeledStateAction,
     RolloutConfig,
@@ -94,6 +94,34 @@ def _all_live_states(doc, mode):
             if mode == MONO_LABEL and sum(bits) > 1:
                 continue
             yield MdpState(doc, p, bits, False)
+
+
+class TestGreedyScoreTable:
+    def test_table_scores_match_dense_features_on_all_toy_instances(self):
+        # Every live state of every toy instance, random weights: the
+        # table-read block scores against the dense feature vector, and the
+        # chosen action against the first dense argmax over legal actions.
+        rng = np.random.default_rng(23)
+        checked = 0
+        for n_sents in (1, 2, 3):
+            for y, mode in [
+                ((1, 0), MONO_LABEL),
+                ((0, 1), MONO_LABEL),
+                ((1, 0), MULTI_LABEL),
+                ((1, 1), MULTI_LABEL),
+            ]:
+                doc = make_doc(n_sents, y, vocab_size=3, seed=n_sents)
+                dim = state_dim(3, 2)
+                for _ in range(3):
+                    policy = Greedy(LinearQ(rng.standard_normal(4 * dim), 2, dim))
+                    for state in _all_live_states(doc, mode):
+                        dense = policy.q.blocks() @ phi_state(state).to_dense()
+                        np.testing.assert_allclose(policy.q.block_scores(state), dense, rtol=0, atol=1e-12)
+                        legal = available_actions(state, mode)
+                        best = int(np.argmax([dense[action_block(a, 2)] for a in legal]))
+                        assert select_action(policy, state, mode) == legal[best]
+                        checked += 1
+        assert checked > 200
 
 
 class TestSampleState:

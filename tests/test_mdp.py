@@ -18,6 +18,7 @@ from stc.mdp import (
     reward,
     run_episode,
     transition,
+    walk,
 )
 
 # Hand-evaluated (y, y_hat) -> (precision, recall, f1) with exact
@@ -255,6 +256,19 @@ class TestRunEpisode:
             assert len(log.actions) <= max_episode_steps(doc, n_cats)
             assert log.reward == prf1(doc.y, log.final_assigned)[2]
             assert 1 <= log.sentences_read <= n_sents
+
+    def test_walk_from_a_mid_episode_state(self):
+        doc = make_doc(4, [1, 0, 1])
+        start = transition(initial_state(doc), NEXT, MULTI_LABEL)
+        states, actions = walk(start, ScriptedPolicy([classify(2), NEXT, STOP]), MULTI_LABEL)
+        assert actions == [classify(2), NEXT, STOP]
+        assert [(s.p, s.assigned, s.halted) for s in states] == [
+            (2, (0, 0, 0), False),
+            (2, (0, 0, 1), False),
+            (3, (0, 0, 1), False),
+            (3, (0, 0, 1), True),
+        ]
+        assert states[0] is start
 
     def test_log_serialization(self):
         doc = make_doc(2, [0, 1], doc_id="d42")

@@ -6,7 +6,7 @@ import pytest
 from conftest import make_doc
 from stc.corpus import MONO_LABEL, MULTI_LABEL
 from stc.features import action_block, phi_state, state_dim
-from stc.mdp import NEXT, STOP, available_actions, classify, initial_state
+from stc.mdp import NEXT, STOP, available_actions, classify, initial_state, transition
 from stc.policy import (
     ClassifierConfig,
     Greedy,
@@ -64,6 +64,23 @@ class TestQValue:
         q = LinearQ.zeros(2, 5)  # wrong state dim for vocab_size=4
         with pytest.raises(ValueError):
             q_value(q, initial_state(tiny_doc), STOP)
+
+    def test_halted_state_rejected(self, tiny_doc):
+        q = LinearQ.zeros(2, state_dim(4, 2))
+        halted = transition(initial_state(tiny_doc), STOP, MULTI_LABEL)
+        with pytest.raises(ValueError):
+            q_value(q, halted, STOP)
+
+    def test_same_id_documents_get_separate_tables(self):
+        dim = state_dim(4, 2)
+        q = LinearQ(np.random.default_rng(2).standard_normal(4 * dim), 2, dim)
+        doc_a, doc_b = make_doc(3, [1, 0], seed=1), make_doc(3, [1, 0], seed=2)
+        assert doc_a.id == doc_b.id
+        for doc in (doc_a, doc_b):
+            state = transition(initial_state(doc), NEXT, MULTI_LABEL)
+            dense = q.blocks() @ phi_state(state).to_dense()
+            np.testing.assert_allclose(q.block_scores(state), dense, rtol=0, atol=1e-12)
+        assert not np.allclose(q.block_scores(initial_state(doc_a)), q.block_scores(initial_state(doc_b)))
 
 
 class TestSelectAction:
