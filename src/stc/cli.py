@@ -78,6 +78,14 @@ def cmd_convert(args) -> int:
     return EXIT_OK
 
 
+def _check_split(fraction: float, run: int) -> None:
+    """Reject a split choice no corpus can satisfy, before any loading."""
+    if not 0.0 < fraction < 1.0:
+        raise ConfigError(f"fraction must lie strictly between 0 and 1, got {fraction}")
+    if run < 0:
+        raise ConfigError(f"run must be a non-negative split index, got {run}")
+
+
 def _prepare(cfg: RunConfig, fraction: float, run: int):
     raw_docs = _load_corpus(cfg.corpus)
     categories = CategorySet.from_documents(raw_docs)
@@ -89,6 +97,7 @@ def cmd_train(args) -> int:
     cfg = load_config(args.config, _config_overrides(args))
     fraction = args.fraction if args.fraction is not None else cfg.fractions[0]
     run = args.run
+    _check_split(fraction, run)
     categories, vocab, train_docs, _ = _prepare(cfg, fraction, run)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     metadata = {
@@ -139,6 +148,7 @@ def cmd_evaluate(args) -> int:
         return EXIT_VALIDATION
     fraction = args.fraction if args.fraction is not None else record["metadata"]["fraction"]
     run = args.run if args.run is not None else record["metadata"]["run"]
+    _check_split(fraction, run)
     categories, vocab, _, test_docs = _prepare(cfg, fraction, run)
     if vocab.checksum() != record["vocab_checksum"]:
         raise ValueError(

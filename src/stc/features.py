@@ -11,9 +11,11 @@ scores every action independently.
 A block's score is linear in the state, so its mean and last-sentence
 parts depend only on (document, cursor). ``score_table`` computes them
 for every cursor of a document at once; the greedy policy scores its
-steps from that table and never builds a feature vector. ``phi_state``
-and ``phi_state_action`` build the sparse vectors that training
-examples are made of.
+steps from that table and never builds a feature vector. A training
+example is ``phi_state`` of its state plus the action's block index, and
+the fit reads that block of the weights. ``phi_state_action`` builds the
+flat vector of the same example, the state features moved into the
+action's block; it is the oracle the block form is checked against.
 """
 
 from __future__ import annotations
@@ -100,7 +102,8 @@ def score_table(doc: Document, blocks: np.ndarray) -> np.ndarray:
 
 
 def phi_state_action(state: MdpState, action: Action) -> SparseVector:
-    """State features placed in the action's block of the larger vector."""
+    """State features placed in the action's block of the larger vector:
+    the flat form of a (``phi_state``, ``action_block``) training example."""
     phi = phi_state(state)
     n_categories = len(state.assigned)
     block = action_block(action, n_categories)

@@ -7,6 +7,14 @@ final F1), labels the maximizing actions good and the rest bad, and fits
 the linear action scorer to separate them. The greedy policy of the
 fitted scorer becomes the next round's policy.
 
+From round 2 on the policy is greedy and draws nothing, so its rollouts
+are exact. Such a round walks each document's episode once and keeps on
+the policy V^pi (the final F1) of every live state a walk visits; a
+rollout is then V^pi of the action's successor. The candidate's
+training-reward episodes are the ones the next round samples from. Each
+labelled state is featurized once, and its examples name their action's
+block of theta.
+
 Per-state randomness is drawn from a stream derived from (seed, state
 ordinal), so the sampled workload is independent of scheduling and the
 first n states of a larger budget coincide with a smaller one's.
@@ -26,7 +34,6 @@ from .mdp import (
     available_actions,
     initial_state,
     prf1,
-    run_episode,
     transition,
     walk,
 )
@@ -82,7 +89,7 @@ class RolloutConfig:
 
 @dataclass(frozen=True)
 class LabeledStateAction:
-    features: SparseVector  # state-action block features
+    state_features: SparseVector  # phi_state of the sampled state, shared by its actions
     label: int  # +1 good, -1 bad
     state_ordinal: int
     action: Action
@@ -101,6 +108,42 @@ class PolicyTrainResult:
     telemetry: list[dict]  # one record per iteration
 
 
+def _greedy_walk(state: MdpState, policy: Greedy, mode: TaskMode) -> list[MdpState]:
+    """Walk a greedy policy from ``state``, recording V^pi (the final F1)
+    for every live state on the way."""
+    states, _ = walk(state, policy_callable(policy, mode), mode)
+    value = prf1(state.doc.y, states[-1].assigned)[2]
+    for s in states[:-1]:
+        policy.values[(s.doc, mode, s.p, s.assigned)] = value
+    return states
+
+
+def _greedy_value(state: MdpState, policy: Greedy, mode: TaskMode) -> float:
+    """V^pi of ``state`` against its document's labels, walked on a miss."""
+    if state.halted:
+        return prf1(state.doc.y, state.assigned)[2]
+    key = (state.doc, mode, state.p, state.assigned)
+    if key not in policy.values:
+        _greedy_walk(state, policy, mode)
+    return policy.values[key]
+
+
+def _episode(
+    doc: Document,
+    policy: Policy,
+    mode: TaskMode,
+    rng: np.random.Generator | None = None,
+) -> list[MdpState]:
+    """The states of the policy's episode on ``doc``, initial to halted.
+    A greedy policy's episode is walked once and kept on the policy."""
+    if not isinstance(policy, Greedy):
+        return walk(initial_state(doc), policy_callable(policy, mode, rng), mode)[0]
+    states = policy.episodes.get((doc, mode))
+    if states is None:
+        states = policy.episodes[(doc, mode)] = _greedy_walk(initial_state(doc), policy, mode)
+    return states
+
+
 def sample_state(
     train_docs: list[Document],
     policy: Policy,
@@ -110,8 +153,7 @@ def sample_state(
     """Pick a training document uniformly, walk the policy's trajectory on
     it, and return one of the visited live states uniformly."""
     doc = train_docs[int(rng.integers(len(train_docs)))]
-    states, _ = walk(initial_state(doc), policy_callable(policy, mode, rng), mode)
-    live = states[:-1]
+    live = _episode(doc, policy, mode, rng)[:-1]
     return live[int(rng.integers(len(live)))]
 
 
@@ -125,12 +167,24 @@ def rollout_return(
     n_rollouts: int = 1,
 ) -> float:
     """Estimated return of taking ``first_action`` and then following
-    ``policy`` to termination: the mean final F1 over independent rollouts."""
-    step = policy_callable(policy, mode, rng)
+    ``policy`` to termination: the mean final F1 over independent rollouts.
+
+    Under a greedy policy every rollout is the same walk, so the return is
+    exact: V^pi of the successor state, from the policy's memo when a
+    walk has already passed through it. The memo scores against the
+    document's own labels, so it serves only calls whose ``y`` is
+    ``state.doc.y``. The n equal returns are still summed one by one,
+    which gives the bits of n rollouts, not those of the single value.
+    """
+    successor = transition(state, first_action, mode)
+    if isinstance(policy, Greedy) and y is state.doc.y:
+        returns = [_greedy_value(successor, policy, mode)] * n_rollouts
+    else:
+        step = policy_callable(policy, mode, rng)
+        returns = (prf1(y, walk(successor, step, mode)[0][-1].assigned)[2] for _ in range(n_rollouts))
     total = 0.0
-    for _ in range(n_rollouts):
-        states, _ = walk(transition(state, first_action, mode), step, mode)
-        total += prf1(y, states[-1].assigned)[2]
+    for value in returns:
+        total += value
     return total / n_rollouts
 
 
@@ -145,7 +199,8 @@ def build_training_set(
     Actions attaining the per-state maximum estimated return are labeled
     +1 and the rest -1 (exact comparison; returns are finite sums of
     identical F1 computations). States where every action ties contribute
-    nothing.
+    nothing. A labelled state's features are built once and shared by its
+    examples, which come in state order, then action order.
     """
     examples: list[LabeledStateAction] = []
     n_skipped = 0
@@ -161,22 +216,16 @@ def build_training_set(
         if all(r == best for r in returns):
             n_skipped += 1
             continue
+        phi = features.phi_state(state)
         for action, ret in zip(actions, returns):
-            examples.append(
-                LabeledStateAction(
-                    features=features.phi_state_action(state, action),
-                    label=1 if ret == best else -1,
-                    state_ordinal=ordinal,
-                    action=action,
-                )
-            )
+            examples.append(LabeledStateAction(phi, 1 if ret == best else -1, ordinal, action))
     return RolloutBatch(examples=examples, n_states=cfg.n_states, n_skipped_states=n_skipped)
 
 
 def mean_episode_reward(docs: list[Document], policy: Policy, mode: TaskMode) -> float:
-    """Mean greedy-episode reward of a policy over a document set."""
-    step = policy_callable(policy, mode)
-    return float(np.mean([run_episode(doc, step, mode).reward for doc in docs]))
+    """Mean episode reward of a policy over a document set. A greedy
+    policy keeps the episodes, for the next round to sample states from."""
+    return float(np.mean([prf1(doc.y, _episode(doc, policy, mode)[-1].assigned)[2] for doc in docs]))
 
 
 def derived_seed(*parts: int) -> int:
@@ -215,7 +264,11 @@ def policy_iteration(
         if not batch.examples:
             raise RuntimeError(f"iteration {iteration}: every sampled state tied; no training examples")
         classifier_cfg = replace(cfg.classifier, seed=cfg.classifier.seed + iteration)
-        theta = train_linear([(e.features, e.label) for e in batch.examples], classifier_cfg)
+        theta = train_linear(
+            [(e.state_features, features.action_block(e.action, n_categories), e.label) for e in batch.examples],
+            classifier_cfg,
+            features.n_action_blocks(n_categories),
+        )
         q = LinearQ(theta, n_categories, dim)
         candidate = Greedy(q)
         candidate_reward = mean_episode_reward(train_docs, candidate, mode)

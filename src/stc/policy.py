@@ -5,10 +5,15 @@ feature space; the greedy policy takes the argmax of the scores of the
 legal actions, breaking exact ties toward the fixed action ordering. A
 scorer reads each step's scores from a per-document table of the mean
 and last-sentence parts (``features.score_table``), built on first use,
-plus the assigned-label part of the state. The classifier minimizes an
-L2-regularized hinge loss by stochastic subgradient descent with step
-size 1/(lambda*t), and is reused one-vs-rest for the whole-document
-baseline.
+plus the assigned-label part of the state. A greedy policy draws no
+randomness, so its episodes and state values are fixed; it carries
+dicts where ``learn`` keeps them for the one round the policy drives.
+
+The classifier minimizes an L2-regularized hinge loss by stochastic
+subgradient descent with step size 1/(lambda*t). Its weight vector is
+made of equal-sized blocks, and each example names the block its
+features sit in: the action scorer has one block per action, the
+whole-document baseline (one-vs-rest) has one.
 """
 
 from __future__ import annotations
@@ -95,6 +100,12 @@ class ClassifierConfig:
 @dataclass(frozen=True)
 class Greedy:
     q: LinearQ
+    # Filled by ``learn`` while the policy drives a round. ``episodes`` maps
+    # (document identity, mode) to the states of the policy's episode;
+    # ``values`` maps (document identity, mode, p, assigned) to V^pi, the
+    # final F1 of the episode continuing from that live state.
+    episodes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    values: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 @dataclass
@@ -145,49 +156,62 @@ def policy_callable(policy: Policy, mode: str, rng: np.random.Generator | None =
     return lambda state: select_action(policy, state, mode, rng)
 
 
-def _check_examples(examples: Sequence[tuple[SparseVector, int]]):
+Example = tuple[SparseVector, int] | tuple[SparseVector, int, int]
+
+
+def _check_examples(examples: Sequence[Example], n_blocks: int) -> tuple[list[tuple[SparseVector, int, int]], int]:
+    """The examples as (x, block, y) triples, and the dimension of x."""
     if not examples:
         raise ValueError("no training examples")
-    labels = {label for _, label in examples}
+    triples = [(e[0], 0, e[1]) if len(e) == 2 else e for e in examples]
+    labels = {label for _, _, label in triples}
     if not labels <= {-1, 1}:
         raise ValueError(f"labels must be +1/-1, got {sorted(labels)}")
     if len(labels) < 2:
         raise ValueError("training requires at least one example of each label")
-    dim = examples[0][0].dim
-    if any(x.dim != dim for x, _ in examples):
+    dim = triples[0][0].dim
+    if any(x.dim != dim for x, _, _ in triples):
         raise ValueError("examples have inconsistent dimensions")
-    return dim
+    if any(not 0 <= block < n_blocks for _, block, _ in triples):
+        raise ValueError(f"example blocks must lie in 0..{n_blocks - 1}")
+    return triples, dim
 
 
-def train_linear(examples: Sequence[tuple[SparseVector, int]], cfg: ClassifierConfig) -> np.ndarray:
+def train_linear(examples: Sequence[Example], cfg: ClassifierConfig, n_blocks: int = 1) -> np.ndarray:
     """Stochastic subgradient descent on the L2-regularized hinge loss.
 
-    Objective: lam/2 * ||theta||^2 + mean_i max(0, 1 - y_i <theta, x_i>),
+    The weight vector is ``n_blocks`` blocks of x's dimension. An example
+    is (x, block, y), with x placed in that block of the feature space, or
+    (x, y) for block 0. Objective:
+    lam/2 * ||theta||^2 + mean_i max(0, 1 - y_i <theta, x_i>),
     minimized over ``cfg.epochs`` shuffled passes with step 1/(lam * t).
     Deterministic given the example order and seed. The weight vector is
     kept as scale * direction so each update touches only the example's
-    support.
+    support; indexing a block's row gives the sums and updates that the
+    flat vector of x placed in the block would.
     """
-    dim = _check_examples(examples)
+    triples, dim = _check_examples(examples, n_blocks)
     lam = cfg.lam
-    v = np.zeros(dim)
+    v = np.zeros(n_blocks * dim)
+    rows = v.reshape(n_blocks, dim)  # a view: updates to a row land in v
     scale = 1.0
     t = 0
     rng = np.random.default_rng(cfg.seed)
-    order = np.arange(len(examples))
+    order = np.arange(len(triples))
     for _ in range(cfg.epochs):
         rng.shuffle(order)
         for i in order:
             t += 1
-            x, y = examples[i]
+            x, block, y = triples[i]
+            w = rows[block]
             eta = 1.0 / (lam * t)
-            margin = y * scale * float(v[x.indices] @ x.values)
+            margin = y * scale * float(w[x.indices] @ x.values)
             scale *= 1.0 - eta * lam  # = 1 - 1/t; zero exactly at t == 1
             if scale == 0.0:
                 v[:] = 0.0
                 scale = 1.0
             if margin < 1.0:
-                v[x.indices] += (eta * y / scale) * x.values
+                w[x.indices] += (eta * y / scale) * x.values
             if scale < 1e-9:
                 v *= scale
                 scale = 1.0

@@ -215,6 +215,23 @@ class TestTrainEvaluateTrace:
                      "--doc-id", "does-not-exist"])
         assert code == 1
 
+    @pytest.mark.parametrize("flags", [["--run", "-1"], ["--fraction", "0"], ["--fraction", "1.5"]])
+    def test_train_bad_split_fails_before_corpus_loads(self, config_file, monkeypatch, flags):
+        loads = []
+        monkeypatch.setattr("stc.cli._load_corpus", lambda path: loads.append(path))
+        assert main(["train", "--config", str(config_file), "--method", "baseline", *flags]) == 1
+        assert loads == []
+
+    @pytest.mark.parametrize("flags", [["--run", "-1"], ["--fraction", "0"], ["--fraction", "1.5"]])
+    def test_evaluate_bad_split_fails_before_corpus_loads(self, config_file, tmp_path, monkeypatch, flags):
+        assert main(["train", "--config", str(config_file), "--method", "baseline"]) == 0
+        model = tmp_path / "out" / "baseline.model.json"
+        loads = []
+        monkeypatch.setattr("stc.cli._load_corpus", lambda path: loads.append(path))
+        assert main(["evaluate", "--config", str(config_file), "--model", str(model), *flags]) == 1
+        assert loads == []
+        assert not (tmp_path / "out" / "metrics_baseline.json").exists()
+
     def test_invalid_config_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{}")

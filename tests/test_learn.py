@@ -323,7 +323,7 @@ class TestBuildTrainingSet:
         batch = build_training_set(docs, UniformRandom(1), MULTI_LABEL, cfg)
         assert batch.examples  # sanity
         for example in batch.examples:
-            assert example.features.nnz > 0
+            assert example.state_features.nnz > 0
 
 
 class TestPolicyIteration:

@@ -216,6 +216,88 @@ class TestTrainLinear:
         assert final <= initial + 1e-6
 
 
+def _reference_sgd(pairs, cfg):
+    """The flat SGD loop over (x, y) pairs, written out as an oracle."""
+    v = np.zeros(pairs[0][0].dim)
+    scale, t = 1.0, 0
+    rng = np.random.default_rng(cfg.seed)
+    order = np.arange(len(pairs))
+    for _ in range(cfg.epochs):
+        rng.shuffle(order)
+        for i in order:
+            t += 1
+            x, y = pairs[i]
+            eta = 1.0 / (cfg.lam * t)
+            margin = y * scale * float(v[x.indices] @ x.values)
+            scale *= 1.0 - eta * cfg.lam
+            if scale == 0.0:
+                v[:] = 0.0
+                scale = 1.0
+            if margin < 1.0:
+                v[x.indices] += (eta * y / scale) * x.values
+            if scale < 1e-9:
+                v *= scale
+                scale = 1.0
+    return scale * v
+
+
+class TestBlockSgd:
+    def _block_examples(self, n_blocks=4, dim=7, n=60, seed=0):
+        rng = np.random.default_rng(seed)
+        examples = []
+        for i in range(n):
+            dense = rng.standard_normal(dim) * (rng.random(dim) > 0.4)
+            examples.append((_vec(dense), int(rng.integers(n_blocks)), 1 if i % 3 == 0 else -1))
+        return examples
+
+    @staticmethod
+    def _flat(examples, n_blocks):
+        return [(SparseVector(x.indices + b * x.dim, x.values, n_blocks * x.dim), y) for x, b, y in examples]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_block_examples_match_their_flat_vectors(self, seed):
+        examples = self._block_examples(seed=seed)
+        flat = self._flat(examples, 4)
+        for cfg in (ClassifierConfig(lam=1e-3, epochs=5, seed=seed), ClassifierConfig(lam=0.5, epochs=3, seed=9)):
+            block_theta = train_linear(examples, cfg, 4)
+            assert block_theta.tobytes() == train_linear(flat, cfg).tobytes()
+            assert block_theta.tobytes() == _reference_sgd(flat, cfg).tobytes()
+
+    def test_pairs_are_block_zero_of_one(self):
+        examples = self._block_examples(n_blocks=1, seed=5)
+        pairs = [(x, y) for x, _, y in examples]
+        cfg = ClassifierConfig(lam=1e-2, epochs=4, seed=2)
+        assert train_linear(pairs, cfg).tobytes() == train_linear(examples, cfg).tobytes()
+        assert train_linear(pairs, cfg).tobytes() == _reference_sgd(pairs, cfg).tobytes()
+
+    def test_one_vs_rest_weights_unchanged(self):
+        xs, label_matrix = TestOneVsRest()._toy_three_class()
+        cfg = ClassifierConfig(lam=1e-3, epochs=5, seed=7)
+        weights, _ = train_multiclass_ovr(xs, label_matrix, cfg)
+        for k, w in enumerate(weights):
+            pairs = [(x, 1 if row[k] == 1 else -1) for x, row in zip(xs, label_matrix)]
+            want = _reference_sgd(pairs, ClassifierConfig(lam=cfg.lam, epochs=cfg.epochs, seed=cfg.seed + k))
+            assert w.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("block", [-1, 4])
+    def test_out_of_range_block_rejected(self, block):
+        examples = self._block_examples()
+        examples[3] = (examples[3][0], block, examples[3][2])
+        with pytest.raises(ValueError, match="blocks"):
+            train_linear(examples, ClassifierConfig(), 4)
+
+    def test_mixed_dimensions_rejected(self):
+        examples = self._block_examples()
+        examples.append((_vec([1.0, 2.0]), 0, 1))
+        with pytest.raises(ValueError, match="dimensions"):
+            train_linear(examples, ClassifierConfig(), 4)
+
+    def test_single_label_rejected(self):
+        examples = [(x, b, 1) for x, b, _ in self._block_examples()]
+        with pytest.raises(ValueError, match="each label"):
+            train_linear(examples, ClassifierConfig(), 4)
+
+
 class TestGradient:
     def test_subgradient_matches_finite_differences(self):
         rng = np.random.default_rng(13)
