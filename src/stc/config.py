@@ -19,8 +19,6 @@ from .policy import ClassifierConfig
 
 __all__ = ["RunConfig", "ConfigError", "load_config"]
 
-DEFAULT_FRACTIONS = (0.01, 0.05, 0.1, 0.3, 0.5, 0.9)
-
 
 class ConfigError(ValueError):
     pass
@@ -28,22 +26,24 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A validated config; ``load_config`` fills every field, defaults included."""
+
     corpus: Path
     mode: str
     seed: int
     output_dir: Path
-    fractions: tuple[float, ...] = DEFAULT_FRACTIONS
-    n_runs: int = 5
-    workers: int = 1
-    stc_n_states: int = 10000
-    stc_rollouts_per_state: int = 1
-    stc_iterations: int = 5
-    stc_epochs: int = 5
-    stc_lambda_grid: tuple[float, ...] = (1e-3,)
-    baseline_epochs: int = 5
-    baseline_lambda_grid: tuple[float, ...] = (1e-5, 1e-4, 1e-3)
-    histogram_fraction: float | None = None
-    histogram_bins: int = 10
+    fractions: tuple[float, ...]
+    n_runs: int
+    workers: int
+    stc_n_states: int
+    stc_rollouts_per_state: int
+    stc_iterations: int
+    stc_epochs: int
+    stc_lambda_grid: tuple[float, ...]
+    baseline_epochs: int
+    baseline_lambda_grid: tuple[float, ...]
+    histogram_fraction: float | None
+    histogram_bins: int
 
     def rollout_config(self) -> RolloutConfig:
         return RolloutConfig(
@@ -157,7 +157,7 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
         "mode": _require(raw, "mode", "config"),
         "seed": _require(raw, "seed", "config"),
         "output_dir": _require(raw, "output_dir", "config"),
-        "fractions": raw.get("fractions", DEFAULT_FRACTIONS),
+        "fractions": raw.get("fractions", (0.01, 0.05, 0.1, 0.3, 0.5, 0.9)),
         "n_runs": raw.get("n_runs", 5),
         "workers": raw.get("workers", 1),
         "stc_n_states": stc.get("n_states", 10000),
@@ -198,6 +198,8 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
     hist_fraction = merged["histogram_fraction"]
     if hist_fraction is not None and not (_is_number(hist_fraction) and 0.0 < hist_fraction < 1.0):
         raise ConfigError("histogram.fraction must be null or a number strictly between 0 and 1")
+    if hist_fraction is not None and hist_fraction not in fractions:
+        raise ConfigError(f"histogram.fraction {hist_fraction!r} is not one of the fractions")
 
     output_dir = Path(merged["output_dir"])
     if not output_dir.is_absolute():

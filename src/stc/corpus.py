@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from . import preprocess
-from .sparse import SparseVector, sparse_from_counts
+from .sparse import SparseVector
 
 __all__ = [
     "RawDocument",
@@ -321,19 +321,20 @@ def vectorize_sentence(tokens: list[str], vocab: Vocabulary) -> SparseVector:
 
     Out-of-vocabulary tokens are dropped. If every tf-idf weight is zero
     (all idf zero) the raw term counts are normalized instead, so any
-    sentence with in-vocabulary content yields a unit vector.
+    sentence with in-vocabulary content yields a unit vector. Each weight
+    is count * idf, and the norm sums the squared weights in index order;
+    the vector is scaled by 1 / norm.
     """
-    counts: Counter[int] = Counter()
-    for term in tokens:
-        idx = vocab.index.get(term)
-        if idx is not None:
-            counts[idx] += 1
-    if not counts:
+    ids = [i for i in map(vocab.index.get, tokens) if i is not None]
+    if not ids:
         return SparseVector.empty(len(vocab))
-    weighted = {i: c * vocab.idf[i] for i, c in counts.items()}
-    if all(w == 0.0 for w in weighted.values()):
-        weighted = {i: float(c) for i, c in counts.items()}
-    return sparse_from_counts(weighted, len(vocab)).normalized()
+    indices, counts = np.unique(ids, return_counts=True)
+    weights = counts * vocab.idf[indices]
+    if not weights.any():
+        weights = counts.astype(np.float64)
+    nonzero = weights != 0.0
+    indices, weights = indices[nonzero], weights[nonzero]
+    return SparseVector(indices, weights * (1.0 / np.sqrt(np.dot(weights, weights))), len(vocab))
 
 
 def vectorize_corpus(

@@ -47,22 +47,20 @@ class Prediction:
     y_hat: tuple[int, ...]
 
 
-def _label_matrices(preds: list[Prediction]) -> tuple[np.ndarray, np.ndarray]:
+def micro_f1(preds: list[Prediction]) -> float:
+    """F1 of the confusion counts pooled over every (document, class) pair."""
     if not preds:
         raise ValueError("no predictions")
-    return np.array([p.y for p in preds]), np.array([p.y_hat for p in preds])
-
-
-def micro_f1(preds: list[Prediction]) -> float:
-    return prf1(*_label_matrices(preds))[2]
+    return prf1([v for p in preds for v in p.y], [v for p in preds for v in p.y_hat])[2]
 
 
 def macro_f1(preds: list[Prediction], n_categories: int) -> float:
     """Unweighted mean of per-class F1 over all configured classes."""
-    y, y_hat = _label_matrices(preds)
+    if not preds:
+        raise ValueError("no predictions")
     total = 0.0  # summed left to right: np.mean would sum pairwise
     for k in range(n_categories):
-        total += prf1(y[:, k], y_hat[:, k])[2]
+        total += prf1([p.y[k] for p in preds], [p.y_hat[k] for p in preds])[2]
     return total / n_categories
 
 

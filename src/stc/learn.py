@@ -253,7 +253,7 @@ def policy_iteration(
     n_categories = len(train_docs[0].y)
     dim = features.state_dim(train_docs[0].sentence_vectors[0].dim, n_categories)
 
-    current: Policy = UniformRandom(cfg.seed)
+    current: Policy = UniformRandom()
     telemetry: list[dict] = []
     best_q: LinearQ | None = None
     best_reward = -np.inf

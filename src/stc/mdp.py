@@ -21,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .corpus import Document, MONO_LABEL, TaskMode
 
 __all__ = [
@@ -157,18 +155,22 @@ def is_terminal(state: MdpState) -> bool:
 
 
 def prf1(y: Sequence[int], y_hat: Sequence[int]) -> tuple[float, float, float]:
-    """Precision, recall, and F1 from true-positive counts.
+    """Precision, recall, and F1 of two equal-length 0/1 label sequences.
 
-    Zero denominators (no predictions, no gold labels, or p + r = 0) give
-    zero for the affected quantity.
+    The counts are plain integers and the results builtin floats. Zero
+    denominators (no predictions, no gold labels, or p + r = 0) give zero
+    for the affected quantity.
     """
-    y = np.asarray(y)
-    y_hat = np.asarray(y_hat)
-    if y.shape != y_hat.shape:
-        raise ValueError(f"label vectors differ in length: {y.shape} vs {y_hat.shape}")
-    tp = int(np.sum((y == 1) & (y_hat == 1)))
-    n_pred = int(np.sum(y_hat == 1))
-    n_gold = int(np.sum(y == 1))
+    if len(y) != len(y_hat):
+        raise ValueError(f"label vectors differ in length: {len(y)} vs {len(y_hat)}")
+    tp = n_pred = n_gold = 0
+    for gold, pred in zip(y, y_hat):
+        if pred == 1:
+            n_pred += 1
+            if gold == 1:
+                tp += 1
+        if gold == 1:
+            n_gold += 1
     p = tp / n_pred if n_pred else 0.0
     r = tp / n_gold if n_gold else 0.0
     f1 = 2.0 * p * r / (p + r) if p + r > 0.0 else 0.0

@@ -108,15 +108,9 @@ class Greedy:
     values: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
-@dataclass
+@dataclass(frozen=True)
 class UniformRandom:
-    seed: int
-    _rng: np.random.Generator | None = field(default=None, repr=False, compare=False)
-
-    def rng(self) -> np.random.Generator:
-        if self._rng is None:
-            self._rng = np.random.default_rng(self.seed)
-        return self._rng
+    """Uniform choice among the legal actions; the caller supplies the rng."""
 
 
 Policy = Greedy | UniformRandom
@@ -138,17 +132,17 @@ def select_action(
     mode: str,
     rng: np.random.Generator | None = None,
 ) -> Action:
-    """Greedy argmax (first maximum wins on ties) or seeded uniform choice.
+    """Greedy argmax (first maximum wins on ties) or uniform choice.
 
-    A uniform-random policy draws from ``rng`` when one is supplied,
-    otherwise from its own seeded stream.
+    A uniform-random policy draws from ``rng``, which it requires.
     """
     if isinstance(policy, Greedy):
         scored = action_scores(policy.q, state, mode)
         return scored[int(np.argmax([score for _, score in scored]))][0]
+    if rng is None:
+        raise ValueError("a uniform-random policy needs an rng")
     actions = available_actions(state, mode)
-    gen = rng if rng is not None else policy.rng()
-    return actions[int(gen.integers(len(actions)))]
+    return actions[int(rng.integers(len(actions)))]
 
 
 def policy_callable(policy: Policy, mode: str, rng: np.random.Generator | None = None):

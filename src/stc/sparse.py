@@ -3,7 +3,10 @@
 All feature vectors in the library (sentence tf-idf vectors, state
 features, state-action features) share this representation: parallel
 ``indices``/``values`` arrays plus a notional dense dimension. Zero-valued
-entries are never stored.
+entries are never stored. A vector is validated once, when it is built:
+callers compute its final indices and values first (tf-idf weighting and
+L2 normalization happen in ``corpus.vectorize_sentence``), so no vector
+is copied to be rescaled.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SparseVector", "sparse_from_counts"]
+__all__ = ["SparseVector"]
 
 
 @dataclass(frozen=True)
@@ -51,18 +54,6 @@ class SparseVector:
             return 0.0
         return float(self.values[ia] @ other.values[ib])
 
-    def scaled(self, factor: float) -> "SparseVector":
-        if factor == 0.0:
-            return SparseVector(np.empty(0, dtype=np.int64), np.empty(0), self.dim)
-        return SparseVector(self.indices, self.values * factor, self.dim)
-
-    def normalized(self) -> "SparseVector":
-        """L2-normalized copy; the empty vector is returned unchanged."""
-        n = self.norm()
-        if n == 0.0:
-            return self
-        return self.scaled(1.0 / n)
-
     def to_dense(self) -> np.ndarray:
         out = np.zeros(self.dim)
         out[self.indices] = self.values
@@ -77,13 +68,3 @@ class SparseVector:
         dense = np.asarray(dense, dtype=np.float64)
         idx = np.nonzero(dense)[0]
         return SparseVector(idx.astype(np.int64), dense[idx], dense.shape[0])
-
-
-def sparse_from_counts(counts: dict[int, float], dim: int) -> SparseVector:
-    """Build a vector from an index -> weight mapping, dropping zeros."""
-    items = sorted((i, w) for i, w in counts.items() if w != 0.0)
-    if not items:
-        return SparseVector.empty(dim)
-    idx, val = zip(*items)
-    return SparseVector(np.array(idx, dtype=np.int64), np.array(val, dtype=np.float64), dim)
-

@@ -110,6 +110,7 @@ class TestConfig:
             ("stc", "lambda_grid", [True]),
             ("baseline", "lambda_grid", [1e-4, 1e-4]),
             ("baseline", "lambda_grid", [True]),
+            ("histogram", "fraction", 0.3),  # not one of the fractions
         ],
     )
     def test_invalid_value_fails_before_compute(self, tmp_path, config_file, section, key, value):

@@ -1,10 +1,11 @@
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from stc import corpus
+from stc import corpus, synthetic
 from stc.corpus import (
     CategorySet,
     RawDocument,
@@ -14,6 +15,7 @@ from stc.corpus import (
     corpus_stats,
     load_jsonl,
     make_splits,
+    prepare_split,
     save_jsonl,
     vectorize_corpus,
     vectorize_sentence,
@@ -220,6 +222,81 @@ class TestVectorize:
         docs = vectorize_corpus(test, vocab, categories, corpus.MONO_LABEL)
         assert vocab.checksum() == checksum
         assert docs[0].global_vector.nnz == 0  # everything out-of-vocabulary
+
+
+def _counter_oracle(tokens, vocab):
+    """The Counter -> dict -> sorted items -> normalize route, written out:
+    each weight is count * idf, the norm sums squares in index order, and
+    the weights are multiplied by 1 / norm."""
+    counts = Counter(vocab.index[t] for t in tokens if t in vocab)
+    weighted = {i: c * vocab.idf[i] for i, c in counts.items()}
+    if all(w == 0.0 for w in weighted.values()):
+        weighted = {i: float(c) for i, c in counts.items()}
+    items = sorted((i, w) for i, w in weighted.items() if w != 0.0)
+    indices = np.array([i for i, _ in items], dtype=np.int64)
+    weights = np.array([w for _, w in items], dtype=np.float64)
+    if not items:
+        return indices, weights
+    norm = float(np.sqrt(np.dot(weights, weights)))
+    return indices, weights * (1.0 / norm)
+
+
+def _assert_matches_oracle(vec, tokens, vocab):
+    indices, values = _counter_oracle(tokens, vocab)
+    assert vec.dim == len(vocab)
+    assert vec.indices.tolist() == indices.tolist()
+    assert vec.values.tobytes() == values.tobytes()
+
+
+class TestVectorizeOracle:
+    """vectorize_sentence reproduces the Counter-based route bit for bit."""
+
+    @pytest.fixture
+    def vocab(self):
+        # "price" is in every training document (idf 0); "cocoa" and
+        # "wheat" are not.
+        return build_vocabulary(
+            [
+                _doc("d1", {"a"}, ["prices of cocoa", "cocoa rose"]),
+                _doc("d2", {"a"}, ["prices of wheat"]),
+                _doc("d3", {"b"}, ["prices fell", "wheat and cocoa"]),
+            ]
+        )
+
+    @pytest.mark.parametrize(
+        "tokens",
+        [
+            ["cocoa", "wheat", "cocoa", "cocoa"],  # repeated term
+            ["unseen", "cocoa", "other", "wheat"],  # out-of-vocabulary tokens
+            ["price", "cocoa", "price"],  # idf 0 term is dropped
+            ["price", "price", "unseen"],  # every weight zero: raw counts
+            [],
+        ],
+    )
+    def test_hand_cases(self, vocab, tokens):
+        _assert_matches_oracle(vectorize_sentence(tokens, vocab), tokens, vocab)
+
+    def test_synthetic_split(self):
+        spec = synthetic.SyntheticSpec(
+            n_categories=3,
+            docs_per_class=12,
+            sentences_per_doc=5,
+            noise_vocab_size=20,
+            words_per_sentence=6,
+            labels_per_doc=(1, 2),
+            keyword_variants=2,
+            seed=3,
+        )
+        raw = synthetic.generate(spec)
+        categories = CategorySet.from_documents(raw)
+        split = make_splits(raw, 0.3, 1, seed=5)[0]
+        vocab, train_docs, test_docs = prepare_split(raw, categories, split, corpus.MULTI_LABEL)
+        by_id = {d.id: d for d in raw}
+        for doc in train_docs + test_docs:
+            tokens = by_id[doc.id].tokens
+            for vec, sentence in zip(doc.sentence_vectors, tokens):
+                _assert_matches_oracle(vec, sentence, vocab)
+            _assert_matches_oracle(doc.global_vector, [t for sentence in tokens for t in sentence], vocab)
 
 
 class TestSplits:

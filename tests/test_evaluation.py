@@ -56,8 +56,16 @@ class TestMetrics:
     @pytest.mark.parametrize("pairs,expected_micro,expected_macro", MICRO_MACRO_FIXTURES)
     def test_micro_macro_fixtures(self, pairs, expected_micro, expected_macro):
         preds = _preds(pairs)
-        assert micro_f1(preds) == pytest.approx(expected_micro, abs=1e-12)
-        assert macro_f1(preds, len(pairs[0][0])) == pytest.approx(expected_macro, abs=1e-12)
+        micro, macro = micro_f1(preds), macro_f1(preds, len(pairs[0][0]))
+        assert micro == pytest.approx(expected_micro, abs=1e-12)
+        assert macro == pytest.approx(expected_macro, abs=1e-12)
+        assert type(micro) is float and type(macro) is float  # repr() goes into cells.csv
+
+    def test_no_predictions(self):
+        with pytest.raises(ValueError, match="no predictions"):
+            micro_f1([])
+        with pytest.raises(ValueError, match="no predictions"):
+            macro_f1([], 2)
 
     def test_perfect_predictions(self):
         preds = _preds([((1, 0), (1, 0))] * 5)

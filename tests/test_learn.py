@@ -140,7 +140,7 @@ class TestSampleState:
     def test_mono_mode_states_respect_restriction(self):
         docs = [make_doc(4, [1, 0], seed=s) for s in range(3)]
         rng = np.random.default_rng(1)
-        policy = UniformRandom(5)
+        policy = UniformRandom()
         for _ in range(200):
             state = sample_state(docs, policy, MONO_LABEL, rng)
             if sum(state.assigned) == 1:
@@ -284,13 +284,13 @@ class TestBuildTrainingSet:
     def test_size_bound(self):
         docs = [make_doc(3, [1, 0], seed=s) for s in range(4)]
         cfg = RolloutConfig(n_states=25, iterations=1, seed=2)
-        batch = build_training_set(docs, UniformRandom(0), MONO_LABEL, cfg)
+        batch = build_training_set(docs, UniformRandom(), MONO_LABEL, cfg)
         assert len(batch.examples) <= 25 * (2 + 2)
 
     def test_max_return_actions_and_only_those_are_positive(self):
         docs = [make_doc(3, [0, 1], seed=s) for s in range(3)]
         cfg = RolloutConfig(n_states=30, iterations=1, seed=5)
-        policy = UniformRandom(9)
+        policy = UniformRandom()
         batch = build_training_set(docs, policy, MONO_LABEL, cfg)
         for example in batch.examples:
             # Recompute this example's return with the same derived stream.
@@ -305,8 +305,8 @@ class TestBuildTrainingSet:
         docs = [make_doc(3, [1, 0], seed=s) for s in range(3)]
         small = RolloutConfig(n_states=10, iterations=1, seed=8)
         large = RolloutConfig(n_states=20, iterations=1, seed=8)
-        batch_small = build_training_set(docs, UniformRandom(2), MONO_LABEL, small)
-        batch_large = build_training_set(docs, UniformRandom(2), MONO_LABEL, large)
+        batch_small = build_training_set(docs, UniformRandom(), MONO_LABEL, small)
+        batch_large = build_training_set(docs, UniformRandom(), MONO_LABEL, large)
         small_by_state = {
             ordinal: [(str(e.action), e.label) for e in batch_small.examples if e.state_ordinal == ordinal]
             for ordinal in range(10)
@@ -320,7 +320,7 @@ class TestBuildTrainingSet:
     def test_every_labeled_action_was_legal(self):
         docs = [make_doc(2, [1, 0, 0], seed=s) for s in range(2)]
         cfg = RolloutConfig(n_states=40, iterations=1, seed=3)
-        batch = build_training_set(docs, UniformRandom(1), MULTI_LABEL, cfg)
+        batch = build_training_set(docs, UniformRandom(), MULTI_LABEL, cfg)
         assert batch.examples  # sanity
         for example in batch.examples:
             assert example.state_features.nnz > 0

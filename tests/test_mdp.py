@@ -172,6 +172,27 @@ class TestPrf1:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             prf1((1, 0), (1, 0, 0))
+        with pytest.raises(ValueError):
+            prf1(np.array([1, 0], dtype=np.int8), (1,))
+
+    def test_matches_numpy_counts_on_every_binary_pair(self):
+        # Oracle: the confusion counts taken with numpy reductions.
+        def numpy_prf1(y, y_hat):
+            y, y_hat = np.asarray(y), np.asarray(y_hat)
+            tp = int(np.sum((y == 1) & (y_hat == 1)))
+            n_pred = int(np.sum(y_hat == 1))
+            n_gold = int(np.sum(y == 1))
+            p = tp / n_pred if n_pred else 0.0
+            r = tp / n_gold if n_gold else 0.0
+            return p, r, 2.0 * p * r / (p + r) if p + r > 0.0 else 0.0
+
+        for n in range(1, 7):
+            for y in itertools.product((0, 1), repeat=n):
+                for y_hat in itertools.product((0, 1), repeat=n):
+                    want = [v.hex() for v in numpy_prf1(y, y_hat)]
+                    for result in (prf1(y, y_hat), prf1(np.array(y, dtype=np.int8), y_hat)):
+                        assert all(type(v) is float for v in result)
+                        assert [v.hex() for v in result] == want
 
 
 class TestReward:

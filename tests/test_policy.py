@@ -122,17 +122,13 @@ class TestSelectAction:
             action = select_action(Greedy(q), state, mode)
             assert action in available_actions(state, mode)
 
-    def test_uniform_random_uses_own_stream(self, tiny_doc):
-        # Two policies with the same seed replay the same choices.
-        state = initial_state(tiny_doc)
-        pol1, pol2 = UniformRandom(3), UniformRandom(3)
-        seq1 = [select_action(pol1, state, MULTI_LABEL) for _ in range(20)]
-        seq2 = [select_action(pol2, state, MULTI_LABEL) for _ in range(20)]
-        assert seq1 == seq2
+    def test_uniform_random_needs_rng(self, tiny_doc):
+        with pytest.raises(ValueError, match="needs an rng"):
+            select_action(UniformRandom(), initial_state(tiny_doc), MULTI_LABEL)
 
     def test_uniform_random_external_rng(self, tiny_doc):
         state = initial_state(tiny_doc)
-        policy = UniformRandom(3)
+        policy = UniformRandom()
         seq1 = [select_action(policy, state, MULTI_LABEL, np.random.default_rng(1)) for _ in range(5)]
         seq2 = [select_action(policy, state, MULTI_LABEL, np.random.default_rng(1)) for _ in range(5)]
         assert seq1 == seq2
