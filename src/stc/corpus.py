@@ -10,6 +10,13 @@ Vocabulary and idf are built from training documents only; test documents
 are vectorized against the frozen training vocabulary, with
 out-of-vocabulary terms dropped. tf is the raw in-sentence count, idf is
 ln(N_train / df), and every non-empty vector is L2-normalized.
+
+``vectorize_corpus`` vectorizes a whole split side per call: one pass maps
+every token to its term id, one ``np.unique`` counts the terms of every
+sentence, and the sentence vectors are the row views of one CSR block,
+validated once (``SparseVector.rows``). The document vectors are a second
+block over the same term ids. ``vectorize_sentence`` is the one-row case
+of the same routine, so there is one tf-idf code path.
 """
 
 from __future__ import annotations
@@ -316,25 +323,58 @@ def build_vocabulary(train_docs: list[RawDocument]) -> Vocabulary:
     return Vocabulary(index, dict(df), len(train_docs))
 
 
+def _tfidf_rows(ids: np.ndarray, lengths: np.ndarray, vocab: Vocabulary) -> list[SparseVector]:
+    """L2-normalized tf-idf vectors of consecutive token runs, as one block.
+
+    ``ids`` holds the term id of every token (-1 out of vocabulary) and
+    row r owns the next ``lengths[r]`` of them. Each row's terms and
+    counts come from one ``np.unique`` over ``row * V + id``, in
+    increasing term order. Each weight is count * idf; a row whose
+    in-vocabulary terms all weigh zero (all idf zero) uses its raw counts
+    instead, so any row with in-vocabulary content is a unit vector. Zero
+    weights are dropped, and each row is scaled by 1 / norm, its norm
+    summing the row's squared weights in index order.
+    """
+    dim = len(vocab)
+    rows = np.repeat(np.arange(lengths.size, dtype=np.int64), lengths)
+    known = ids >= 0
+    keys, counts = np.unique(rows[known] * dim + ids[known], return_counts=True)
+    rows, indices = np.divmod(keys, dim)
+    weights = counts * vocab.idf[indices]
+    weighted = np.zeros(lengths.size, dtype=bool)
+    weighted[rows[weights != 0.0]] = True
+    fallback = ~weighted[rows]
+    weights[fallback] = counts[fallback]
+    nonzero = weights != 0.0
+    rows, indices, weights = rows[nonzero], indices[nonzero], weights[nonzero]
+    sizes = np.bincount(rows, minlength=lengths.size)
+    indptr = np.concatenate(([0], np.cumsum(sizes)))
+    bounds = indptr.tolist()
+    sums = np.array([np.dot(weights[a:b], weights[a:b]) for a, b in zip(bounds, bounds[1:]) if b > a])
+    values = weights * np.repeat(1.0 / np.sqrt(sums), sizes[sizes > 0])
+    return SparseVector.rows(indptr, indices, values, dim)
+
+
+def _term_ids(sentences: list[list[str]], vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
+    """Term id of every token of ``sentences`` (-1 out of vocabulary), and
+    each sentence's token count."""
+    lengths = np.fromiter(map(len, sentences), dtype=np.int64, count=len(sentences))
+    get = vocab.index.get
+    ids = np.fromiter(
+        (get(t, -1) for tokens in sentences for t in tokens), dtype=np.int64, count=int(lengths.sum())
+    )
+    return ids, lengths
+
+
 def vectorize_sentence(tokens: list[str], vocab: Vocabulary) -> SparseVector:
     """L2-normalized tf-idf vector of one tokenized sentence.
 
     Out-of-vocabulary tokens are dropped. If every tf-idf weight is zero
     (all idf zero) the raw term counts are normalized instead, so any
-    sentence with in-vocabulary content yields a unit vector. Each weight
-    is count * idf, and the norm sums the squared weights in index order;
-    the vector is scaled by 1 / norm.
+    sentence with in-vocabulary content yields a unit vector. This is the
+    one-row case of ``vectorize_corpus``.
     """
-    ids = [i for i in map(vocab.index.get, tokens) if i is not None]
-    if not ids:
-        return SparseVector.empty(len(vocab))
-    indices, counts = np.unique(ids, return_counts=True)
-    weights = counts * vocab.idf[indices]
-    if not weights.any():
-        weights = counts.astype(np.float64)
-    nonzero = weights != 0.0
-    indices, weights = indices[nonzero], weights[nonzero]
-    return SparseVector(indices, weights * (1.0 / np.sqrt(np.dot(weights, weights))), len(vocab))
+    return _tfidf_rows(*_term_ids([tokens], vocab), vocab)[0]
 
 
 def vectorize_corpus(
@@ -345,26 +385,26 @@ def vectorize_corpus(
 ) -> list[Document]:
     """Per-sentence tf-idf vectors plus one whole-document vector per doc.
 
-    Unknown labels raise; in mono-label mode multi-labeled documents are
-    rejected.
+    Every sentence of ``raw_docs`` is one row of one CSR block, and every
+    document one row of a second block, built from the same token ids; each
+    vector is a view of its row. Unknown labels raise; in mono-label mode
+    multi-labeled documents are rejected.
     """
-    docs: list[Document] = []
+    labels = []
     for raw in raw_docs:
         if mode == MONO_LABEL and len(raw.labels) != 1:
             raise ValueError(f"document {raw.id!r} has {len(raw.labels)} labels in mono-label mode")
-        y = categories.label_vector(raw.labels)
-        sentence_vectors = [vectorize_sentence(t, vocab) for t in raw.tokens]
-        all_tokens = [t for tokens in raw.tokens for t in tokens]
-        global_vector = vectorize_sentence(all_tokens, vocab)
-        docs.append(
-            Document(
-                id=raw.id,
-                y=y,
-                sentence_vectors=sentence_vectors,
-                global_vector=global_vector,
-            )
-        )
-    return docs
+        labels.append(categories.label_vector(raw.labels))
+    ids, lengths = _term_ids([tokens for raw in raw_docs for tokens in raw.tokens], vocab)
+    sentence_vectors = _tfidf_rows(ids, lengths, vocab)
+    n_sentences = np.fromiter((len(raw.tokens) for raw in raw_docs), dtype=np.int64, count=len(raw_docs))
+    first = np.concatenate(([0], np.cumsum(n_sentences)))
+    token_bounds = np.concatenate(([0], np.cumsum(lengths)))[first]
+    global_vectors = _tfidf_rows(ids, np.diff(token_bounds), vocab)
+    return [
+        Document(id=raw.id, y=y, sentence_vectors=sentence_vectors[a:b], global_vector=g)
+        for raw, y, a, b, g in zip(raw_docs, labels, first[:-1].tolist(), first[1:].tolist(), global_vectors)
+    ]
 
 
 def prepare_split(

@@ -121,6 +121,8 @@ class ExperimentPlan:
             raise ValueError("n_runs must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.histogram_fraction is not None and self.histogram_fraction not in self.fractions:
+            raise ValueError(f"histogram_fraction {self.histogram_fraction} is not one of fractions {self.fractions}")
 
 
 @dataclass
@@ -227,6 +229,9 @@ def _run_split_job(job: tuple[Split, int]) -> tuple[list[CellResult], dict[float
     return cells, logs_by_lambda
 
 
+_TIE = 1e-12
+
+
 def _aggregate(plan: ExperimentPlan, cells: list[CellResult]) -> list[AggregateRow]:
     rows: list[AggregateRow] = []
     for method, grid in (("baseline", plan.baseline_lambda_grid), ("stc", plan.stc_lambda_grid)):
@@ -243,9 +248,12 @@ def _aggregate(plan: ExperimentPlan, cells: list[CellResult]) -> list[AggregateR
                 candidates.append((float(np.mean([c.micro_f1 for c in group])), lam, group))
             if not candidates:
                 continue
-            # Best mean micro-F1 wins; ties go to the smaller lambda.
-            candidates.sort(key=lambda item: (-item[0], item[1]))
-            _, lam, group = candidates[0]
+            # Best mean micro-F1 wins; ties go to the smaller lambda. Means
+            # within _TIE of the best count as tied: an F1 such as 80/200
+            # rounds to 0.4000000000000001, which splits cells that tie in
+            # exact arithmetic.
+            best = max(mean for mean, _, _ in candidates)
+            _, lam, group = min((c for c in candidates if c[0] >= best - _TIE), key=lambda item: item[1])
             micro = [c.micro_f1 for c in group]
             macro = [c.macro_f1 for c in group]
             reading = [c.reading_size for c in group if c.reading_size is not None]

@@ -248,20 +248,24 @@ def _assert_matches_oracle(vec, tokens, vocab):
     assert vec.values.tobytes() == values.tobytes()
 
 
+def _oracle_vocab():
+    # "price" is in every training document (idf 0); "cocoa" and "wheat"
+    # are not.
+    return build_vocabulary(
+        [
+            _doc("d1", {"a"}, ["prices of cocoa", "cocoa rose"]),
+            _doc("d2", {"a"}, ["prices of wheat"]),
+            _doc("d3", {"b"}, ["prices fell", "wheat and cocoa"]),
+        ]
+    )
+
+
 class TestVectorizeOracle:
     """vectorize_sentence reproduces the Counter-based route bit for bit."""
 
     @pytest.fixture
     def vocab(self):
-        # "price" is in every training document (idf 0); "cocoa" and
-        # "wheat" are not.
-        return build_vocabulary(
-            [
-                _doc("d1", {"a"}, ["prices of cocoa", "cocoa rose"]),
-                _doc("d2", {"a"}, ["prices of wheat"]),
-                _doc("d3", {"b"}, ["prices fell", "wheat and cocoa"]),
-            ]
-        )
+        return _oracle_vocab()
 
     @pytest.mark.parametrize(
         "tokens",
@@ -297,6 +301,57 @@ class TestVectorizeOracle:
             for vec, sentence in zip(doc.sentence_vectors, tokens):
                 _assert_matches_oracle(vec, sentence, vocab)
             _assert_matches_oracle(doc.global_vector, [t for sentence in tokens for t in sentence], vocab)
+
+
+def _tokenized(doc_id, label, sentences):
+    """A raw document whose preprocessed tokens are given directly."""
+    raw = _doc(doc_id, {label}, [" ".join(tokens) for tokens in sentences])
+    raw.tokens = sentences
+    return raw
+
+
+class TestVectorizeBlock:
+    """vectorize_corpus builds each side as one sentence block and one
+    document block; every row matches the Counter route bit for bit."""
+
+    @pytest.fixture
+    def vocab(self):
+        return _oracle_vocab()
+
+    @staticmethod
+    def _check(raw_docs, vocab):
+        docs = vectorize_corpus(raw_docs, vocab, CategorySet(("a", "b")), corpus.MONO_LABEL)
+        assert [d.id for d in docs] == [r.id for r in raw_docs]
+        for doc, raw in zip(docs, raw_docs):
+            assert doc.n_sentences == len(raw.tokens)
+            for vec, tokens in zip(doc.sentence_vectors, raw.tokens):
+                _assert_matches_oracle(vec, tokens, vocab)
+            _assert_matches_oracle(doc.global_vector, [t for tokens in raw.tokens for t in tokens], vocab)
+        return docs
+
+    def test_fallback_is_per_row(self, vocab):
+        # A normal sentence, an all-idf-0 sentence (raw counts) and an
+        # all-out-of-vocabulary sentence (an empty row), side by side.
+        raw = _tokenized("d1", "a", [["cocoa", "wheat", "cocoa"], ["price", "price"], ["unseen", "other"]])
+        doc = self._check([raw], vocab)[0]
+        assert [v.nnz for v in doc.sentence_vectors] == [2, 1, 0]
+
+    def test_empty_rows_at_both_ends_of_the_block(self, vocab):
+        raw_docs = [
+            _tokenized("d1", "a", [["unseen"], ["nothing", "known"]]),  # empty document vector
+            _tokenized("d2", "b", [["wheat", "price"], ["price"], ["cocoa", "wheat"]]),
+            _tokenized("d3", "a", [["price", "cocoa", "price"], ["unseen"]]),
+            _tokenized("d4", "b", [["other"]]),
+        ]
+        docs = self._check(raw_docs, vocab)
+        assert docs[0].global_vector.nnz == 0 and docs[-1].global_vector.nnz == 0
+        assert docs[0].sentence_vectors[0].nnz == 0 and docs[-1].sentence_vectors[-1].nnz == 0
+
+    def test_one_document_block(self, vocab):
+        self._check([_tokenized("d1", "b", [["wheat", "wheat", "unseen", "cocoa"]])], vocab)
+
+    def test_no_documents(self, vocab):
+        assert vectorize_corpus([], vocab, CategorySet(("a", "b")), corpus.MONO_LABEL) == []
 
 
 class TestSplits:

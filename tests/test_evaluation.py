@@ -174,6 +174,40 @@ def _tiny_corpus(seed=0):
     return synthetic.generate(spec)
 
 
+class TestAggregate:
+    def test_rounding_tie_goes_to_smaller_lambda(self):
+        # 155 of 400 test documents right at both lambdas: the means tie in
+        # exact arithmetic, but prf1 rounds 80/200 to 0.4000000000000001.
+        cells = [
+            evaluation.CellResult("baseline", 0.5, 0, 1e-5, micro_f1=0.38, macro_f1=0.3),
+            evaluation.CellResult("baseline", 0.5, 1, 1e-5, micro_f1=0.395, macro_f1=0.3),
+            evaluation.CellResult("baseline", 0.5, 0, 1e-3, micro_f1=0.4000000000000001, macro_f1=0.3),
+            evaluation.CellResult("baseline", 0.5, 1, 1e-3, micro_f1=0.375, macro_f1=0.3),
+        ]
+        plan = _tiny_plan(fractions=(0.5,), baseline_lambda_grid=(1e-5, 1e-3))
+        assert np.mean([0.4000000000000001, 0.375]) > np.mean([0.38, 0.395])
+        (row,) = evaluation._aggregate(plan, cells)
+        assert row.lam == 1e-5
+        assert row.micro_f1_mean == np.mean([0.38, 0.395])
+
+    def test_clear_winner_still_wins(self):
+        cells = [
+            evaluation.CellResult("baseline", 0.5, 0, 1e-5, micro_f1=0.38, macro_f1=0.3),
+            evaluation.CellResult("baseline", 0.5, 0, 1e-3, micro_f1=0.38 + 1e-9, macro_f1=0.3),
+        ]
+        plan = _tiny_plan(fractions=(0.5,), n_runs=1, baseline_lambda_grid=(1e-5, 1e-3))
+        assert [r.lam for r in evaluation._aggregate(plan, cells)] == [1e-3]
+
+
+class TestExperimentPlan:
+    def test_histogram_fraction_outside_fractions_rejected(self):
+        with pytest.raises(ValueError, match="histogram_fraction"):
+            ExperimentPlan(mode=MONO_LABEL, fractions=(0.5,))
+
+    def test_no_histogram_is_valid(self):
+        assert ExperimentPlan(mode=MONO_LABEL, fractions=(0.5,), histogram_fraction=None).histogram_fraction is None
+
+
 class TestRunExperiment:
     def test_grid_size_and_report_shape(self):
         raw = _tiny_corpus()

@@ -3,14 +3,17 @@
     python3 tools/bench_pairs.py --base ../parent --change . --pairs 10 \
         --out BENCH_<label>.json
 
-For every workload in the change's ``BENCHMARK.json`` and every pair i
-(seed i, from 1), ``perfbench/run.py`` runs once in each checkout with
-the file's ``run_seconds``: the base first in odd pairs, the change first
-in even ones. The output keeps every run's JSON line and, per workload
-and end-to-end metric, each side's median and quartiles
-(``statistics.quantiles(values, n=4)``), the parent's spread (q3 - q1)
-and how many pairs the change won (lower is better; ties count for
-neither side).
+For every workload in the change's ``BENCHMARK.json`` (or each one named
+with ``--workload``) and every pair i = 0, 1, ... (seed ``--first-seed`` + i),
+``perfbench/run.py`` runs once in each checkout with the file's
+``run_seconds``: the base first in pairs with an odd seed, the change
+first in the others. The output keeps every run's JSON line and, per
+workload and end-to-end metric, each side's median and quartiles
+(``statistics.quantiles(values, n=4)``), the parent's spread (q3 - q1),
+how many pairs the change won (lower is better; ties count for neither
+side) and ``gain_shown``: the change won at least nine tenths of the
+pairs and its median is lower than the parent's by more than the
+parent's spread.
 """
 
 from __future__ import annotations
@@ -41,17 +44,19 @@ def main(argv=None) -> int:
     parser.add_argument("--base", required=True, type=Path, help="checkout of the parent commit")
     parser.add_argument("--change", required=True, type=Path, help="checkout of the change")
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--first-seed", dest="first_seed", type=int, default=1, help="seed of the first pair")
+    parser.add_argument("--workload", action="append", help="run only this workload (repeatable; default: all)")
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args(argv)
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
-    workloads = [w["name"] for w in spec["workloads"]]
+    workloads = args.workload or [w["name"] for w in spec["workloads"]]
     runs = []
     summary = {}
     for workload in workloads:
         sides: dict[str, list[dict]] = {"base": [], "change": []}
-        for seed in range(1, args.pairs + 1):
+        for seed in range(args.first_seed, args.first_seed + args.pairs):
             order = ("base", "change") if seed % 2 else ("change", "base")
             for side in order:
                 result = _run(getattr(args, side), workload, seed, seconds)
@@ -64,15 +69,20 @@ def main(argv=None) -> int:
             base = [r["metrics"][name]["value"] for r in sides["base"]]
             change = [r["metrics"][name]["value"] for r in sides["change"]]
             base_summary = _summary(base)
+            change_summary = _summary(change)
+            base_spread = base_summary["q3"] - base_summary["q1"]
+            change_wins = sum(c < b for b, c in zip(base, change))
             summary[workload][name] = {
                 "unit": metric["unit"],
                 "bound": metric["bound"],
                 "base": base_summary,
-                "change": _summary(change),
-                "change_over_base": statistics.median(change) / base_summary["median"],
-                "base_spread": base_summary["q3"] - base_summary["q1"],
-                "change_wins": sum(c < b for b, c in zip(base, change)),
+                "change": change_summary,
+                "change_over_base": change_summary["median"] / base_summary["median"],
+                "base_spread": base_spread,
+                "change_wins": change_wins,
                 "base_wins": sum(b < c for b, c in zip(base, change)),
+                "gain_shown": change_wins >= 0.9 * args.pairs
+                and base_summary["median"] - change_summary["median"] > base_spread,
             }
         summary[workload]["failed"] = {side: [r["failed"] for r in results] for side, results in sides.items()}
         summary[workload]["correct"] = {side: all(r["correct"] for r in results) for side, results in sides.items()}
@@ -80,6 +90,7 @@ def main(argv=None) -> int:
         "machine": {"platform": platform.platform(), "python": platform.python_version(), "cpus": os.cpu_count()},
         "run_seconds": seconds,
         "pairs": args.pairs,
+        "first_seed": args.first_seed,
         "summary": summary,
         "runs": runs,
     }
