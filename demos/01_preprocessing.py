@@ -6,6 +6,8 @@ short-token removal, stemming, and finally normalized tf-idf vectors over
 a vocabulary built from a toy corpus.
 """
 
+import numpy as np
+
 from stc import preprocess
 from stc.corpus import CategorySet, RawDocument, build_vocabulary, vectorize_corpus
 
@@ -44,5 +46,5 @@ vectorized = vectorize_corpus(docs, vocab, categories, mode="mono")
 doc = vectorized[0]
 print(f"\ndocument {doc.id}: {doc.n_sentences} sentence vectors, all unit length:")
 for i, vec in enumerate(doc.sentence_vectors, start=1):
-    print(f"  sentence {i}: {vec.nnz} non-zeros, L2 norm {vec.norm():.6f}")
+    print(f"  sentence {i}: {vec.nnz} non-zeros, L2 norm {np.sqrt(vec.values @ vec.values):.6f}")
 print(f"  whole-document vector: {doc.global_vector.nnz} non-zeros")

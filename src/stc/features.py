@@ -12,13 +12,17 @@ A block's score is linear in the state, so its mean and last-sentence
 parts depend only on (document, cursor). ``score_table`` computes them
 for every cursor of a document at once; the greedy policy scores its
 steps from that table and never builds a feature vector. A training
-example is ``phi_state`` of its state plus the action's block index, and
-the fit reads that block of the weights. ``phi_state_action`` builds the
-flat vector of the same example, the state features moved into the
-action's block; it is the oracle the block form is checked against.
+example is a state's feature vector plus the action's block index, and
+the fit reads that block of the weights. ``phi_states`` builds the
+feature vectors of a whole round's states as the rows of one CSR block;
+``phi_state`` is its one-row case. ``phi_state_action`` builds the flat
+vector of the same example, the state features moved into the action's
+block; it is the oracle the block form is checked against.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -31,6 +35,7 @@ __all__ = [
     "action_block",
     "n_action_blocks",
     "phi_state",
+    "phi_states",
     "phi_state_action",
     "score_table",
 ]
@@ -58,29 +63,51 @@ def phi_state(state: MdpState) -> SparseVector:
     Empty sentences contribute zero vectors to the mean; the divisor is
     always p.
     """
-    if state.halted:
+    return phi_states([state])[0]
+
+
+def phi_states(states: Sequence[MdpState]) -> list[SparseVector]:
+    """``phi_state`` of every state, as row views of one CSR block.
+
+    The read-prefix entries of all states are concatenated in sentence
+    order and keyed by row * V + term, so one ``np.unique`` finds every
+    row's mean terms in increasing order and one ``np.bincount`` sums
+    each term's weights from 0.0 in sentence order, as a state's own
+    bincount would. The states may come from different documents of one
+    vocabulary and category set; the block is validated once.
+    """
+    if not states:
+        return []
+    if any(s.halted for s in states):
         raise ValueError("halted states have no feature representation")
-    doc = state.doc
-    read = doc.sentence_vectors[: state.p]
-    vocab_size = read[0].dim
-    n_categories = len(state.assigned)
-    # bincount adds each term's weights in sentence order.
-    read_idx = np.concatenate([v.indices for v in read])
-    sums = np.bincount(read_idx, weights=np.concatenate([v.values for v in read]))
-    mean_idx = np.unique(read_idx)
-    last_vec = read[-1]
-    assigned_idx = [2 * vocab_size + k for k, v in enumerate(state.assigned) if v]
+    vocab_size = states[0].doc.sentence_vectors[0].dim
+    n_categories = len(states[0].assigned)
+    if any(s.doc.sentence_vectors[0].dim != vocab_size or len(s.assigned) != n_categories for s in states):
+        raise ValueError("states of one block must share the vocabulary and the category count")
+    read = [(r, v) for r, s in enumerate(states) for v in s.doc.sentence_vectors[: s.p]]
+    sizes = np.fromiter((v.indices.size for _, v in read), dtype=np.int64, count=len(read))
+    rows = np.repeat(np.fromiter((r for r, _ in read), dtype=np.int64, count=len(read)), sizes)
+    keys, inverse = np.unique(rows * vocab_size + np.concatenate([v.indices for _, v in read]), return_inverse=True)
+    sums = np.bincount(inverse, weights=np.concatenate([v.values for _, v in read]), minlength=keys.size)
+    mean_rows = keys // vocab_size
+    p = np.fromiter((s.p for s in states), dtype=np.int64, count=len(states))
+
+    last = [s.doc.sentence_vectors[s.p - 1] for s in states]
+    last_rows = np.repeat(np.arange(len(states)), [v.indices.size for v in last])
+    assigned = np.array([s.assigned for s in states], dtype=np.int8).reshape(len(states), n_categories)
+    assigned_rows, assigned_k = np.nonzero(assigned)
+
+    # Stable by row: each row's mean, last-sentence and assigned entries
+    # stay in that order, so its indices rise.
+    row_of = np.concatenate([mean_rows, last_rows, assigned_rows])
+    order = np.argsort(row_of, kind="stable")
     indices = np.concatenate(
-        [
-            mean_idx,
-            last_vec.indices + vocab_size,
-            np.array(assigned_idx, dtype=np.int64),
-        ]
+        [keys - mean_rows * vocab_size] + [v.indices + vocab_size for v in last] + [assigned_k + 2 * vocab_size]
     )
-    values = np.concatenate(
-        [sums[mean_idx] / state.p, last_vec.values, np.ones(len(assigned_idx))]
-    )
-    return SparseVector(indices, values, state_dim(vocab_size, n_categories))
+    values = np.concatenate([sums / p[mean_rows]] + [v.values for v in last] + [np.ones(assigned_k.size)])
+    indptr = np.zeros(len(states) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row_of, minlength=len(states)), out=indptr[1:])
+    return SparseVector.rows(indptr, indices[order], values[order], state_dim(vocab_size, n_categories))
 
 
 def score_table(doc: Document, blocks: np.ndarray) -> np.ndarray:

@@ -11,9 +11,12 @@ From round 2 on the policy is greedy and draws nothing, so its rollouts
 are exact. Such a round walks each document's episode once and keeps on
 the policy V^pi (the final F1) of every live state a walk visits; a
 rollout is then V^pi of the action's successor. The candidate's
-training-reward episodes are the ones the next round samples from. Each
-labelled state is featurized once, and its examples name their action's
-block of theta.
+training-reward episodes are the ones the next round samples from. A
+greedy state's labels are fixed within the round, so each distinct
+sampled state is labelled once, however often it is drawn. The round's
+labelled states are featurized together, as the rows of one CSR block
+(``features.phi_states``); a state's examples share its row and name
+their action's block of theta.
 
 Per-state randomness is drawn from a stream derived from (seed, state
 ordinal), so the sampled workload is independent of scheduling and the
@@ -89,7 +92,7 @@ class RolloutConfig:
 
 @dataclass(frozen=True)
 class LabeledStateAction:
-    state_features: SparseVector  # phi_state of the sampled state, shared by its actions
+    state_features: SparseVector  # the state's row of the round's phi_states block, shared by its actions
     label: int  # +1 good, -1 bad
     state_ordinal: int
     action: Action
@@ -188,6 +191,23 @@ def rollout_return(
     return total / n_rollouts
 
 
+def _action_labels(
+    state: MdpState,
+    policy: Policy,
+    mode: TaskMode,
+    rng: np.random.Generator,
+    n_rollouts: int,
+) -> tuple[list[Action], list[int]] | None:
+    """The legal actions and their +1/-1 labels, or None when every action
+    ties."""
+    actions = available_actions(state, mode)
+    returns = [rollout_return(state, a, policy, state.doc.y, mode, rng, n_rollouts) for a in actions]
+    best = max(returns)
+    if all(r == best for r in returns):
+        return None
+    return actions, [1 if r == best else -1 for r in returns]
+
+
 def build_training_set(
     train_docs: list[Document],
     policy: Policy,
@@ -199,26 +219,38 @@ def build_training_set(
     Actions attaining the per-state maximum estimated return are labeled
     +1 and the rest -1 (exact comparison; returns are finite sums of
     identical F1 computations). States where every action ties contribute
-    nothing. A labelled state's features are built once and shared by its
-    examples, which come in state order, then action order.
+    nothing. Examples come in state order, then action order; a state's
+    examples share one feature vector, and all of them are built in one
+    block at the end of the round.
+
+    Under a greedy policy a state's returns are exact, so each distinct
+    state is labelled once and its later draws reuse the labels. Every
+    draw still takes its own rng and its own sample, and counts and emits
+    its own examples, so the batch is the one a fresh labelling per draw
+    would give. A random policy's rollouts draw from each draw's rng, so
+    every draw is labelled afresh.
     """
-    examples: list[LabeledStateAction] = []
+    reuse = isinstance(policy, Greedy)
+    labels: dict[MdpState, tuple[list[Action], list[int]] | None] = {}
+    labelled: list[tuple[int, MdpState, tuple[list[Action], list[int]]]] = []
     n_skipped = 0
     for ordinal in range(cfg.n_states):
         rng = np.random.default_rng([cfg.seed, ordinal])
         state = sample_state(train_docs, policy, mode, rng)
-        actions = available_actions(state, mode)
-        returns = [
-            rollout_return(state, a, policy, state.doc.y, mode, rng, cfg.rollouts_per_state)
-            for a in actions
-        ]
-        best = max(returns)
-        if all(r == best for r in returns):
+        if not (reuse and state in labels):
+            labels[state] = _action_labels(state, policy, mode, rng, cfg.rollouts_per_state)
+        state_labels = labels[state]
+        if state_labels is None:
             n_skipped += 1
-            continue
-        phi = features.phi_state(state)
-        for action, ret in zip(actions, returns):
-            examples.append(LabeledStateAction(phi, 1 if ret == best else -1, ordinal, action))
+        else:
+            labelled.append((ordinal, state, state_labels))
+    distinct = list(dict.fromkeys(state for _, state, _ in labelled))
+    phis = dict(zip(distinct, features.phi_states(distinct)))
+    examples = [
+        LabeledStateAction(phis[state], label, ordinal, action)
+        for ordinal, state, (actions, action_labels) in labelled
+        for action, label in zip(actions, action_labels)
+    ]
     return RolloutBatch(examples=examples, n_states=cfg.n_states, n_skipped_states=n_skipped)
 
 

@@ -2,10 +2,11 @@
 
 The action scorer is a single weight vector over the block state-action
 feature space; the greedy policy takes the argmax of the scores of the
-legal actions, breaking exact ties toward the fixed action ordering. A
-scorer reads each step's scores from a per-document table of the mean
-and last-sentence parts (``features.score_table``), built on first use,
-plus the assigned-label part of the state. A greedy policy draws no
+legal actions, breaking exact ties toward the fixed action ordering; a
+step with one legal action is taken without scoring. A scorer reads each
+step's scores from a per-document table of the mean and last-sentence
+parts (``features.score_table``), built on first use, plus the
+assigned-label part of the state. A greedy policy draws no
 randomness, so its episodes and state values are fixed; it carries
 dicts where ``learn`` keeps them for the one round the policy drives.
 
@@ -134,14 +135,17 @@ def select_action(
 ) -> Action:
     """Greedy argmax (first maximum wins on ties) or uniform choice.
 
-    A uniform-random policy draws from ``rng``, which it requires.
+    A greedy step with one legal action takes it without scoring it. A
+    uniform-random policy draws from ``rng``, which it requires.
     """
+    actions = available_actions(state, mode)
     if isinstance(policy, Greedy):
-        scored = action_scores(policy.q, state, mode)
-        return scored[int(np.argmax([score for _, score in scored]))][0]
+        if len(actions) == 1:
+            return actions[0]
+        scores = policy.q.block_scores(state)
+        return actions[int(np.argmax([scores[features.action_block(a, policy.q.n_categories)] for a in actions]))]
     if rng is None:
         raise ValueError("a uniform-random policy needs an rng")
-    actions = available_actions(state, mode)
     return actions[int(rng.integers(len(actions)))]
 
 
@@ -182,7 +186,9 @@ def train_linear(examples: Sequence[Example], cfg: ClassifierConfig, n_blocks: i
     Deterministic given the example order and seed. The weight vector is
     kept as scale * direction so each update touches only the example's
     support; indexing a block's row gives the sums and updates that the
-    flat vector of x placed in the block would.
+    flat vector of x placed in the block would. The margin is the
+    ndarray ``dot`` of the gathered weights and x's values: the same BLAS
+    ddot that ``@`` reaches, without the matmul dispatch.
     """
     triples, dim = _check_examples(examples, n_blocks)
     lam = cfg.lam
@@ -199,7 +205,7 @@ def train_linear(examples: Sequence[Example], cfg: ClassifierConfig, n_blocks: i
             x, block, y = triples[i]
             w = rows[block]
             eta = 1.0 / (lam * t)
-            margin = y * scale * float(w[x.indices] @ x.values)
+            margin = y * scale * w[x.indices].dot(x.values)
             scale *= 1.0 - eta * lam  # = 1 - 1/t; zero exactly at t == 1
             if scale == 0.0:
                 v[:] = 0.0

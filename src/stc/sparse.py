@@ -43,22 +43,6 @@ class SparseVector:
     def nnz(self) -> int:
         return int(self.indices.size)
 
-    def norm(self) -> float:
-        return float(np.sqrt(np.dot(self.values, self.values)))
-
-    def dot_dense(self, dense: np.ndarray) -> float:
-        if dense.shape[0] != self.dim:
-            raise ValueError(f"dimension mismatch: vector dim {self.dim}, array dim {dense.shape[0]}")
-        return float(dense[self.indices] @ self.values)
-
-    def dot(self, other: "SparseVector") -> float:
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        common, ia, ib = np.intersect1d(self.indices, other.indices, assume_unique=True, return_indices=True)
-        if common.size == 0:
-            return 0.0
-        return float(self.values[ia] @ other.values[ib])
-
     def to_dense(self) -> np.ndarray:
         out = np.zeros(self.dim)
         out[self.indices] = self.values
@@ -93,9 +77,3 @@ class SparseVector:
             object.__setattr__(vec, "dim", dim)
             out.append(vec)
         return out
-
-    @staticmethod
-    def from_dense(dense: np.ndarray) -> "SparseVector":
-        dense = np.asarray(dense, dtype=np.float64)
-        idx = np.nonzero(dense)[0]
-        return SparseVector(idx.astype(np.int64), dense[idx], dense.shape[0])

@@ -5,6 +5,18 @@ from stc.corpus import Document
 from stc.sparse import SparseVector
 
 
+def sparse(dense):
+    """The sparse vector of a dense array's non-zero entries."""
+    dense = np.asarray(dense, dtype=np.float64)
+    indices = np.nonzero(dense)[0]
+    return SparseVector(indices, dense[indices], dense.shape[0])
+
+
+def norm(vec):
+    """The L2 norm of a sparse vector."""
+    return float(np.sqrt(vec.values @ vec.values))
+
+
 def make_doc(n_sentences, y, vocab_size=4, seed=0, doc_id="doc"):
     """Tiny vectorized document with random unit sentence vectors."""
     rng = np.random.default_rng(seed)
@@ -14,14 +26,14 @@ def make_doc(n_sentences, y, vocab_size=4, seed=0, doc_id="doc"):
         if dense.sum() == 0.0:
             dense[int(rng.integers(vocab_size))] = 1.0
         dense /= np.linalg.norm(dense)
-        vectors.append(SparseVector.from_dense(dense))
+        vectors.append(sparse(dense))
     global_dense = rng.random(vocab_size)
     global_dense /= np.linalg.norm(global_dense)
     return Document(
         id=doc_id,
         y=np.asarray(y, dtype=np.int8),
         sentence_vectors=vectors,
-        global_vector=SparseVector.from_dense(global_dense),
+        global_vector=sparse(global_dense),
     )
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_doc
+from conftest import make_doc, sparse
 from stc import synthetic
 from stc import corpus as corpus_mod
 from stc.cli import main as cli_main
@@ -46,7 +46,6 @@ from stc.policy import (
     select_action,
 )
 from stc.porter import porter_stem
-from stc.sparse import SparseVector
 
 DATA_DIR = Path(__file__).parent / "data" / "porter"
 
@@ -441,7 +440,7 @@ def test_criterion_10_gradient_check():
     rng = np.random.default_rng(31)
     dim = 6
     examples = [
-        (SparseVector.from_dense(rng.standard_normal(dim)), 1 if rng.random() < 0.5 else -1)
+        (sparse(rng.standard_normal(dim)), 1 if rng.random() < 0.5 else -1)
         for _ in range(15)
     ]
     lam = 0.05
@@ -450,7 +449,7 @@ def test_criterion_10_gradient_check():
     worst = 0.0
     while checked < 100:
         theta = rng.standard_normal(dim)
-        margins = [y * x.dot_dense(theta) for x, y in examples]
+        margins = [y * float(x.to_dense() @ theta) for x, y in examples]
         if min(abs(1.0 - m) for m in margins) < 1e-2:
             continue
         analytic = hinge_subgradient(theta, examples, lam)

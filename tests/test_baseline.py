@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import make_doc
+from conftest import make_doc, sparse
 from stc import corpus as corpus_mod
 from stc import synthetic
 from stc.baseline import BaselineModel, predict_baseline, train_baseline
 from stc.corpus import MONO_LABEL, MULTI_LABEL, CategorySet
 from stc.policy import ClassifierConfig
-from stc.sparse import SparseVector
 
 
 def _model(weight_rows, mode):
@@ -15,7 +14,7 @@ def _model(weight_rows, mode):
 
 
 def _doc_with_global(dense, y):
-    vec = SparseVector.from_dense(np.asarray(dense, dtype=float))
+    vec = sparse(dense)
     return corpus_mod.Document(id="d", y=np.asarray(y, dtype=np.int8), sentence_vectors=[vec], global_vector=vec)
 
 

@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from conftest import norm
 from stc import corpus, synthetic
 from stc.corpus import (
     CategorySet,
@@ -170,7 +171,7 @@ class TestVectorize:
     def test_zero_idf_falls_back_to_tf(self):
         vocab = build_vocabulary([_doc("d1", {"a"}, ["cocoa prices"])])
         vec = vectorize_sentence(["cocoa"], vocab)
-        assert vec.norm() == pytest.approx(1.0, abs=1e-9)
+        assert norm(vec) == pytest.approx(1.0, abs=1e-9)
 
     def test_label_vectors(self):
         docs = [
@@ -208,10 +209,10 @@ class TestVectorize:
         vocab = build_vocabulary(docs)
         categories = CategorySet(("a", "b"))
         for doc in vectorize_corpus(docs, vocab, categories, corpus.MONO_LABEL):
-            assert doc.global_vector.norm() == pytest.approx(1.0, abs=1e-9)
+            assert norm(doc.global_vector) == pytest.approx(1.0, abs=1e-9)
             for vec in doc.sentence_vectors:
                 if vec.nnz:
-                    assert vec.norm() == pytest.approx(1.0, abs=1e-9)
+                    assert norm(vec) == pytest.approx(1.0, abs=1e-9)
 
     def test_test_set_vectorization_never_mutates_vocabulary(self):
         train = [_doc("d1", {"a"}, ["cocoa prices"]), _doc("d2", {"b"}, ["wheat"])]

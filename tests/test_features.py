@@ -1,22 +1,22 @@
 import numpy as np
 import pytest
 
-from conftest import make_doc
-from stc.corpus import Document, MULTI_LABEL
+from conftest import make_doc, norm, sparse
+from stc.corpus import Document, MONO_LABEL, MULTI_LABEL
 from stc.features import (
     action_block,
     n_action_blocks,
     phi_state,
     phi_state_action,
+    phi_states,
     score_table,
     state_dim,
 )
-from stc.mdp import NEXT, STOP, classify, initial_state, transition
-from stc.sparse import SparseVector
+from stc.mdp import NEXT, STOP, available_actions, classify, initial_state, transition
 
 
 def _doc_from_dense(rows, y):
-    vectors = [SparseVector.from_dense(np.asarray(r, dtype=float)) for r in rows]
+    vectors = [sparse(r) for r in rows]
     return Document(
         id="toy",
         y=np.asarray(y, dtype=np.int8),
@@ -97,15 +97,15 @@ def test_blocks_are_disjoint_across_actions(tiny_doc):
     for i, a in enumerate(actions):
         for b in actions[i + 1 :]:
             va, vb = phi_state_action(state, a), phi_state_action(state, b)
-            assert va.dot(vb) == 0.0
+            assert float(va.to_dense() @ vb.to_dense()) == 0.0
             assert not set(va.indices.tolist()) & set(vb.indices.tolist())
 
 
 def test_norm_preserved_for_every_action(tiny_doc):
     state = initial_state(tiny_doc)
-    base = phi_state(state).norm()
+    base = norm(phi_state(state))
     for action in [classify(0), classify(1), NEXT, STOP]:
-        assert phi_state_action(state, action).norm() == pytest.approx(base, abs=1e-12)
+        assert norm(phi_state_action(state, action)) == pytest.approx(base, abs=1e-12)
 
 
 def test_dim_independent_of_action(tiny_doc):
@@ -135,3 +135,96 @@ def test_halted_state_rejected(tiny_doc):
     state = transition(initial_state(tiny_doc), STOP, MULTI_LABEL)
     with pytest.raises(ValueError):
         phi_state(state)
+
+
+# --- one CSR block per round ------------------------------------------------
+
+
+def _phi_state_per_state(state):
+    """A state's own bincount over its read prefix: the per-state route
+    ``phi_states`` must reproduce bit for bit."""
+    read = state.doc.sentence_vectors[: state.p]
+    vocab_size = read[0].dim
+    read_idx = np.concatenate([v.indices for v in read])
+    sums = np.bincount(read_idx, weights=np.concatenate([v.values for v in read]))
+    mean_idx = np.unique(read_idx)
+    assigned_idx = [2 * vocab_size + k for k, v in enumerate(state.assigned) if v]
+    indices = np.concatenate([mean_idx, read[-1].indices + vocab_size, np.array(assigned_idx, dtype=np.int64)])
+    values = np.concatenate([sums[mean_idx] / state.p, read[-1].values, np.ones(len(assigned_idx))])
+    return indices, values
+
+
+def _live_states(doc, mode):
+    """Every live state reachable from the initial one, in visiting order."""
+    seen, frontier = [], [initial_state(doc)]
+    while frontier:
+        state = frontier.pop(0)
+        if state in seen:
+            continue
+        seen.append(state)
+        for action in available_actions(state, mode):
+            successor = transition(state, action, mode)
+            if not successor.halted:
+                frontier.append(successor)
+    return seen
+
+
+def _oracle_docs():
+    """Toy documents over V = 5 with C = 3: empty sentences, terms that
+    recur across sentences with weights whose sum depends on its order,
+    one-sentence and longer documents."""
+    handmade = _doc_from_dense(
+        [
+            [0.1, 0.0, 0.3, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 0.0, 0.0],
+            [0.2, 0.7, 0.0, 0.0, 0.3],
+            [0.7, 0.0, 0.1, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 0.0, 0.0],
+        ],
+        [1, 0, 1],
+    )
+    single = _doc_from_dense([[0.0, 0.6, 0.0, 0.8, 0.0]], [0, 1, 0])
+    empty_first = _doc_from_dense([[0.0] * 5, [0.3, 0.0, 0.0, 0.4, 0.0]], [0, 0, 1])
+    random = [make_doc(n, [1, 0, 0], vocab_size=5, seed=n) for n in (2, 4, 6)]
+    return [handmade, single, empty_first, *random]
+
+
+def _assert_oracle_bytes(vec, state):
+    indices, values = _phi_state_per_state(state)
+    assert vec.dim == state_dim(5, 3)
+    assert vec.indices.tobytes() == indices.tobytes()
+    assert vec.values.tobytes() == values.tobytes()
+
+
+@pytest.mark.parametrize("mode", [MONO_LABEL, MULTI_LABEL])
+def test_phi_states_match_per_state_bincount_on_every_live_state(mode):
+    for doc in _oracle_docs():
+        states = _live_states(doc, mode)
+        assert {s.p for s in states} == set(range(1, doc.n_sentences + 1))
+        for state, vec in zip(states, phi_states(states), strict=True):
+            _assert_oracle_bytes(vec, state)
+            _assert_oracle_bytes(phi_state(state), state)
+
+
+@pytest.mark.parametrize("mode", [MONO_LABEL, MULTI_LABEL])
+def test_one_block_mixes_documents_of_different_lengths(mode):
+    states = [s for doc in _oracle_docs() for s in _live_states(doc, mode)]
+    order = np.random.default_rng(2).permutation(len(states))
+    batch = [states[i] for i in order] + states[:3]  # repeats are rows of their own
+    vectors = phi_states(batch)
+    assert len(vectors) == len(batch)
+    for state, vec in zip(batch, vectors):
+        _assert_oracle_bytes(vec, state)
+
+
+def test_phi_states_of_no_states():
+    assert phi_states([]) == []
+
+
+def test_phi_states_reject_halted_and_mismatched_states(tiny_doc):
+    live = initial_state(tiny_doc)
+    with pytest.raises(ValueError, match="halted"):
+        phi_states([live, transition(live, STOP, MULTI_LABEL)])
+    other = make_doc(2, [1, 0], vocab_size=6, seed=1)
+    with pytest.raises(ValueError, match="share"):
+        phi_states([live, initial_state(other)])

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from conftest import make_doc
 from stc import corpus as corpus_mod
-from stc import synthetic
+from stc import learn, synthetic
 from stc.corpus import MONO_LABEL, MULTI_LABEL, CategorySet
 from stc.features import action_block, phi_state, state_dim
 from stc.learn import (
@@ -316,6 +317,49 @@ class TestBuildTrainingSet:
             for ordinal in range(10)
         }
         assert small_by_state == large_by_state
+
+    @pytest.mark.parametrize("mode", [MONO_LABEL, MULTI_LABEL])
+    def test_greedy_round_rolls_out_each_distinct_state_once(self, mode, monkeypatch):
+        docs = [make_doc(2 + s % 3, np.eye(3, dtype=int)[s % 3], vocab_size=5, seed=s) for s in range(4)]
+        dim = state_dim(5, 3)
+        q = LinearQ(np.random.default_rng(11).standard_normal(5 * dim), 3, dim)
+        sampled, rolled = [], []
+        real_sample, real_rollout = learn.sample_state, learn.rollout_return
+
+        def counting_sample(*args):
+            sampled.append(real_sample(*args))
+            return sampled[-1]
+
+        def counting_rollout(state, action, *args):
+            rolled.append((state, action))
+            return real_rollout(state, action, *args)
+
+        monkeypatch.setattr(learn, "sample_state", counting_sample)
+        monkeypatch.setattr(learn, "rollout_return", counting_rollout)
+        batch = build_training_set(docs, Greedy(q), mode, RolloutConfig(n_states=120, seed=4))
+        distinct = set(sampled)
+        assert len(sampled) == 120 > 2 * len(distinct)
+        assert Counter(rolled) == Counter((s, a) for s in distinct for a in available_actions(s, mode))
+        # Every draw still emits its own examples.
+        assert len({e.state_ordinal for e in batch.examples}) + batch.n_skipped_states == 120
+
+    def test_random_round_rolls_out_every_draw(self, monkeypatch):
+        docs = [make_doc(3, [1, 0], seed=s) for s in range(2)]
+        rolled = []
+        real_rollout = learn.rollout_return
+
+        def counting_rollout(state, action, *args):
+            rolled.append(action)
+            return real_rollout(state, action, *args)
+
+        monkeypatch.setattr(learn, "rollout_return", counting_rollout)
+        cfg = RolloutConfig(n_states=40, seed=6)
+        build_training_set(docs, UniformRandom(), MONO_LABEL, cfg)
+        want = 0
+        for ordinal in range(40):
+            state = sample_state(docs, UniformRandom(), MONO_LABEL, np.random.default_rng([cfg.seed, ordinal]))
+            want += len(available_actions(state, MONO_LABEL))
+        assert len(rolled) == want
 
     def test_every_labeled_action_was_legal(self):
         docs = [make_doc(2, [1, 0, 0], seed=s) for s in range(2)]

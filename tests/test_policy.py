@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import make_doc
+from conftest import make_doc, sparse
 from stc.corpus import MONO_LABEL, MULTI_LABEL
 from stc.features import action_block, phi_state, state_dim
 from stc.mdp import NEXT, STOP, available_actions, classify, initial_state, transition
@@ -23,10 +23,6 @@ from stc.policy import (
     train_multiclass_ovr,
 )
 from stc.sparse import SparseVector
-
-
-def _vec(dense):
-    return SparseVector.from_dense(np.asarray(dense, dtype=float))
 
 
 class TestQValue:
@@ -122,6 +118,22 @@ class TestSelectAction:
             action = select_action(Greedy(q), state, mode)
             assert action in available_actions(state, mode)
 
+    @pytest.mark.parametrize("mode", [MONO_LABEL, MULTI_LABEL])
+    def test_forced_step_builds_no_score_table(self, tiny_doc, mode):
+        # Mono: stop is the only action once a label is assigned. Multi:
+        # every label assigned on the last sentence.
+        dim = state_dim(4, 2)
+        q = LinearQ(np.random.default_rng(4).standard_normal(4 * dim), 2, dim)
+        state = transition(initial_state(tiny_doc), classify(0), mode)
+        if mode == MULTI_LABEL:
+            state = transition(transition(state, classify(1), mode), NEXT, mode)
+            state = transition(state, NEXT, mode)
+        assert available_actions(state, mode) == [STOP]
+        assert select_action(Greedy(q), state, mode) == STOP
+        assert q._tables == {}
+        select_action(Greedy(q), initial_state(tiny_doc), mode)
+        assert list(q._tables) == [tiny_doc]
+
     def test_uniform_random_needs_rng(self, tiny_doc):
         with pytest.raises(ValueError, match="needs an rng"):
             select_action(UniformRandom(), initial_state(tiny_doc), MULTI_LABEL)
@@ -136,7 +148,7 @@ class TestSelectAction:
 
 class TestTrainLinear:
     def test_separable_points(self):
-        examples = [(_vec([1.0, 0.0]), 1), (_vec([0.0, 1.0]), -1)]
+        examples = [(sparse([1.0, 0.0]), 1), (sparse([0.0, 1.0]), -1)]
         cfg = ClassifierConfig(lam=1e-3, epochs=20, seed=0)
         theta = train_linear(examples, cfg)
         assert float(theta @ [1.0, 0.0]) > 0.0
@@ -144,7 +156,7 @@ class TestTrainLinear:
 
     def test_separable_matches_grid_search_signs(self):
         # Oracle: exhaustive grid over 2-d theta minimizing the objective.
-        examples = [(_vec([1.0, 0.2]), 1), (_vec([0.1, 1.0]), -1), (_vec([0.9, -0.1]), 1)]
+        examples = [(sparse([1.0, 0.2]), 1), (sparse([0.1, 1.0]), -1), (sparse([0.9, -0.1]), 1)]
         lam = 1e-2
         grid = np.linspace(-4, 4, 161)
         best, best_val = None, np.inf
@@ -155,7 +167,7 @@ class TestTrainLinear:
                 best, best_val = theta, val
         trained = train_linear(examples, ClassifierConfig(lam=lam, epochs=50, seed=1))
         for x, _ in examples:
-            assert np.sign(x.dot_dense(trained)) == np.sign(x.dot_dense(best))
+            assert np.sign(float(x.to_dense() @ trained)) == np.sign(float(x.to_dense() @ best))
         assert hinge_objective(trained, examples, lam) == pytest.approx(best_val, abs=0.05)
 
     def test_duplicated_dataset_same_signs(self):
@@ -166,29 +178,29 @@ class TestTrainLinear:
         for i in range(20):
             label = 1 if i % 2 else -1
             center = np.array([2.0, 0.5, -1.0]) * label
-            examples.append((_vec(center + 0.2 * rng.standard_normal(3)), label))
+            examples.append((sparse(center + 0.2 * rng.standard_normal(3)), label))
         cfg = ClassifierConfig(lam=1e-2, epochs=40, seed=4)
         theta1 = train_linear(examples, cfg)
         theta2 = train_linear(examples + examples, cfg)
-        signs1 = [np.sign(x.dot_dense(theta1)) for x, _ in examples]
-        signs2 = [np.sign(x.dot_dense(theta2)) for x, _ in examples]
+        signs1 = [np.sign(float(x.to_dense() @ theta1)) for x, _ in examples]
+        signs2 = [np.sign(float(x.to_dense() @ theta2)) for x, _ in examples]
         assert signs1 == signs2
 
     def test_contradictory_labels_irreducible(self):
-        x = _vec([1.0, 0.0])
+        x = sparse([1.0, 0.0])
         examples = [(x, 1), (x, -1)]
         theta = train_linear(examples, ClassifierConfig(lam=1e-2, epochs=20, seed=0))
-        errors = sum(1 for x, y in examples if np.sign(x.dot_dense(theta)) != y)
+        errors = sum(1 for x, y in examples if np.sign(float(x.to_dense() @ theta)) != y)
         assert errors >= 1
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="each label"):
-            train_linear([(_vec([1.0, 0.0]), 1)], ClassifierConfig())
+            train_linear([(sparse([1.0, 0.0]), 1)], ClassifierConfig())
 
     def test_deterministic(self):
         rng = np.random.default_rng(8)
         examples = [
-            (_vec(rng.standard_normal(5)), 1 if rng.random() < 0.5 else -1) for _ in range(30)
+            (sparse(rng.standard_normal(5)), 1 if rng.random() < 0.5 else -1) for _ in range(30)
         ]
         if not any(label == 1 for _, label in examples):
             examples[0] = (examples[0][0], 1)
@@ -203,7 +215,7 @@ class TestTrainLinear:
         examples = []
         for i in range(40):
             label = 1 if i % 2 else -1
-            examples.append((_vec(centers[label] + 0.3 * rng.standard_normal(3)), label))
+            examples.append((sparse(centers[label] + 0.3 * rng.standard_normal(3)), label))
         lam = 1e-3
         initial = hinge_objective(np.zeros(3), examples, lam)
         final = hinge_objective(
@@ -243,7 +255,7 @@ class TestBlockSgd:
         examples = []
         for i in range(n):
             dense = rng.standard_normal(dim) * (rng.random(dim) > 0.4)
-            examples.append((_vec(dense), int(rng.integers(n_blocks)), 1 if i % 3 == 0 else -1))
+            examples.append((sparse(dense), int(rng.integers(n_blocks)), 1 if i % 3 == 0 else -1))
         return examples
 
     @staticmethod
@@ -284,7 +296,7 @@ class TestBlockSgd:
 
     def test_mixed_dimensions_rejected(self):
         examples = self._block_examples()
-        examples.append((_vec([1.0, 2.0]), 0, 1))
+        examples.append((sparse([1.0, 2.0]), 0, 1))
         with pytest.raises(ValueError, match="dimensions"):
             train_linear(examples, ClassifierConfig(), 4)
 
@@ -299,14 +311,14 @@ class TestGradient:
         rng = np.random.default_rng(13)
         dim = 6
         examples = [
-            (_vec(rng.standard_normal(dim)), 1 if rng.random() < 0.5 else -1) for _ in range(15)
+            (sparse(rng.standard_normal(dim)), 1 if rng.random() < 0.5 else -1) for _ in range(15)
         ]
         lam = 0.05
         h = 1e-6
         checked = 0
         while checked < 100:
             theta = rng.standard_normal(dim)
-            margins = [y * x.dot_dense(theta) for x, y in examples]
+            margins = [y * float(x.to_dense() @ theta) for x, y in examples]
             if min(abs(1.0 - m) for m in margins) < 1e-2:
                 continue  # too close to a hinge kink for a clean finite difference
             analytic = hinge_subgradient(theta, examples, lam)
@@ -332,7 +344,7 @@ class TestOneVsRest:
             for _ in range(15):
                 center = np.zeros(3)
                 center[k] = 1.0
-                xs.append(_vec(center + 0.1 * rng.standard_normal(3)))
+                xs.append(sparse(center + 0.1 * rng.standard_normal(3)))
                 row = np.zeros(3, dtype=np.int8)
                 row[k] = 1
                 labels.append(row)
@@ -344,18 +356,18 @@ class TestOneVsRest:
         assert empty == []
         errors = 0
         for x, row in zip(xs, label_matrix):
-            scores = [x.dot_dense(w) for w in weights]
+            scores = [float(x.to_dense() @ w) for w in weights]
             if int(np.argmax(scores)) != int(np.argmax(row)):
                 errors += 1
         assert errors == 0
 
     def test_single_class_rejected(self):
-        xs = [_vec([1.0, 0.0])]
+        xs = [sparse([1.0, 0.0])]
         with pytest.raises(ValueError):
             train_multiclass_ovr(xs, np.array([[1]]), ClassifierConfig())
 
     def test_empty_class_flagged(self):
-        xs = [_vec([1.0, 0.0]), _vec([0.0, 1.0])]
+        xs = [sparse([1.0, 0.0]), sparse([0.0, 1.0])]
         label_matrix = np.array([[1, 0, 0], [0, 1, 0]], dtype=np.int8)
         weights, empty = train_multiclass_ovr(xs, label_matrix, ClassifierConfig(epochs=2))
         assert empty == [2]

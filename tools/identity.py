@@ -1,0 +1,123 @@
+"""Print sha256 digests of the program's seeded outputs, one JSON line per seed.
+
+    python3 tools/identity.py --seeds 1-3 [--checkout DIR] > digests.txt
+
+Imports ``stc`` from the checkout's ``src`` and the benchmark workloads
+from its ``perfbench/workload.py`` (read only; nothing there is
+changed). Running it on two checkouts and diffing the outputs shows
+whether a change kept every output bit. Per seed it digests:
+
+- ``train-mono``: the benchmark workload's fitted theta bytes, its
+  per-round telemetry and its test-side episode logs;
+- ``multi``: the same three for a multi-label ``policy_iteration`` on
+  acceptance criterion 8's corpus and split, with the library's default
+  rollout settings and rollout seed = the seed;
+- ``grid-r8like``: the four report files of the benchmark's
+  ``stc experiment`` workload.
+
+BLAS threads are pinned to 1, as in the benchmark.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+CRITERION_8_SPLIT_SEED = 42
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _learner_digests(result, logs) -> dict[str, str]:
+    return {
+        "theta": _sha(result.q.theta.tobytes()),
+        "telemetry": _sha(json.dumps(result.telemetry, sort_keys=True).encode()),
+        "episodes": _sha(json.dumps([log.to_record() for log in logs], sort_keys=True).encode()),
+    }
+
+
+def _train_mono(workload, seed: int, run_dir: Path) -> dict[str, str]:
+    train = workload.TrainWorkload()
+    train.setup(seed, run_dir)
+    out = train.run()
+    return _learner_digests(out["result"], out["logs"])
+
+
+def _multi(seed: int) -> dict[str, str]:
+    from stc import corpus, evaluation, learn, policy, synthetic
+
+    spec = synthetic.SyntheticSpec(
+        n_categories=4,
+        docs_per_class=100,
+        sentences_per_doc=6,
+        keyword_positions=(1, 2, 3, 4, 5, 6),
+        labels_per_doc=(3, 4),
+        noise_vocab_size=40,
+        seed=11,
+    )
+    raw = synthetic.generate(spec)
+    categories = corpus.CategorySet.from_documents(raw)
+    split = corpus.make_splits(raw, 0.5, 1, CRITERION_8_SPLIT_SEED)[0]
+    by_id = {d.id: d for d in raw}
+    train_raw = [by_id[i] for i in split.train_ids]
+    vocab = corpus.build_vocabulary(train_raw)
+    train = corpus.vectorize_corpus(train_raw, vocab, categories, "multi")
+    test = corpus.vectorize_corpus([by_id[i] for i in split.test_ids], vocab, categories, "multi")
+    result = learn.policy_iteration(train, "multi", learn.RolloutConfig(seed=seed))
+    _, logs = evaluation.evaluate_policy(policy.Greedy(result.q), test, "multi")
+    return _learner_digests(result, logs)
+
+
+def _grid(workload, seed: int, run_dir: Path) -> dict[str, str]:
+    grid = workload.GridWorkload()
+    grid.setup(seed, run_dir)
+    with contextlib.redirect_stdout(sys.stderr):  # keep stdout to the digest lines
+        out = grid.run()
+    if out["exit"] != 0:
+        raise SystemExit(f"identity: stc experiment failed at seed {seed}")
+    return {name: _sha((grid.out_dir / name).read_bytes()) for name in grid.report_files}
+
+
+def _seeds(text: str) -> list[int]:
+    lo, _, hi = text.partition("-")
+    return list(range(int(lo), int(hi or lo) + 1))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--seeds", default="1-3", help="an inclusive range, e.g. 1-3, or one seed")
+    parser.add_argument("--checkout", type=Path, default=Path(__file__).resolve().parents[1])
+    args = parser.parse_args(argv)
+
+    checkout = args.checkout.resolve()
+    sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench")]
+    import workload
+
+    for seed in _seeds(args.seeds):
+        with tempfile.TemporaryDirectory() as tmp:
+            mono_dir, grid_dir = Path(tmp, "mono"), Path(tmp, "grid")
+            mono_dir.mkdir()
+            grid_dir.mkdir()
+            record = {
+                "seed": seed,
+                "train-mono": _train_mono(workload, seed, mono_dir),
+                "multi": _multi(seed),
+                "grid-r8like": _grid(workload, seed, grid_dir),
+            }
+        print(json.dumps(record, sort_keys=True), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
