@@ -22,7 +22,7 @@ from .baseline import BaselineModel, predict_baseline, train_baseline
 from .config import ConfigError, RunConfig, load_config
 from .corpus import CategorySet, Vocabulary
 from .mdp import initial_state, prf1, walk
-from .policy import Greedy, LinearQ, load_model, policy_callable, q_value, save_model
+from .policy import Greedy, LinearQ, action_scores, load_model, policy_callable, q_value, save_model
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -238,11 +238,27 @@ def cmd_trace(args) -> int:
         label = str(action)
         if action.kind == "classify":
             label = f"classify:{categories.names[action.category]}"
-        print(f"step {step}: p={state.p} action={label} q={q_value(q, state, action):.6f}")
+        print(f"step {step}: p={state.p} action={label} q={q_value(q, state, action):.6f} "
+              f"margin={_margin(q, state, mode)}")
     final = states[-1]
     reward = prf1(doc.y, final.assigned)[2]
     print(f"reward: {reward:.6f}  read {final.p}/{doc.n_sentences} sentence(s)")
     return EXIT_OK
+
+
+# Greedy decisions whose best two scores are this close can flip when only
+# the summation order of a score changes.
+NEAR_TIE = 1e-12
+
+
+def _margin(q: LinearQ, state, mode: str) -> str:
+    """The best legal score minus the runner-up, from the scores the greedy
+    policy reads; "forced" when one action is legal."""
+    scores = sorted((score for _, score in action_scores(q, state, mode)), reverse=True)
+    if len(scores) == 1:
+        return "forced"
+    margin = scores[0] - scores[1]
+    return f"{margin:.3e}" + (" near-tie" if margin <= NEAR_TIE else "")
 
 
 def _config_overrides(args) -> dict:

@@ -9,15 +9,15 @@ classify(k) -> k, next -> C, stop -> C + 1, so a single weight vector
 scores every action independently.
 
 A block's score is linear in the state, so its mean and last-sentence
-parts depend only on (document, cursor). ``score_table`` computes them
-for every cursor of a document at once; the greedy policy scores its
-steps from that table and never builds a feature vector. A training
-example is a state's feature vector plus the action's block index, and
-the fit reads that block of the weights. ``phi_states`` builds the
-feature vectors of a whole round's states as the rows of one CSR block;
-``phi_state`` is its one-row case. ``phi_state_action`` builds the flat
-vector of the same example, the state features moved into the action's
-block; it is the oracle the block form is checked against.
+parts depend only on (document, cursor). ``ScoreRows`` computes them
+cursor by cursor, only up to the furthest cursor asked for; the greedy
+policy scores its steps from those rows and never builds a feature
+vector. A training example is a state's feature vector plus the action's
+block index, and the fit reads that block of the weights. ``phi_states``
+builds the feature vectors of a whole round's states as the rows of one
+CSR block; ``phi_state`` is its one-row case. ``phi_state_action`` builds
+the flat vector of the same example, the state features moved into the
+action's block; it is the oracle the block form is checked against.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ __all__ = [
     "phi_state",
     "phi_states",
     "phi_state_action",
-    "score_table",
+    "ScoreRows",
 ]
 
 
@@ -110,22 +110,45 @@ def phi_states(states: Sequence[MdpState]) -> list[SparseVector]:
     return SparseVector.rows(indptr, indices[order], values[order], state_dim(vocab_size, n_categories))
 
 
-def score_table(doc: Document, blocks: np.ndarray) -> np.ndarray:
-    """Per-cursor action scores of a document without the assigned block.
+class ScoreRows:
+    """Per-cursor action scores of one document without the assigned block.
 
     Row p - 1, column b holds the mean and last-sentence parts of block
-    b's score at cursor p: cumsum(theta_mean . s_i) / p + theta_last . s_p.
-    ``blocks`` is the (C + 2) x (2V + C) weight matrix. Adding
-    ``blocks[:, 2V:] @ assigned`` gives every action's full score.
+    b's score at cursor p: (theta_mean . s_1 + ... + theta_mean . s_p) / p
+    + theta_last . s_p. ``blocks`` is the (C + 2) x (2V + C) weight matrix.
+    Adding ``blocks[:, 2V:] @ assigned`` gives every action's full score.
+
+    ``row(p)`` computes the rows missing up to p, carrying the running sum
+    of the mean parts one sentence at a time, so a walk that stops at
+    cursor p costs p rows. Each sum, division and matvec is the one a
+    whole-document ``np.cumsum`` table would do, in the same order.
     """
-    vocab_size = doc.sentence_vectors[0].dim
-    dim = state_dim(vocab_size, blocks.shape[0] - 2)
-    if blocks.shape[1] != dim:
-        raise ValueError(f"state features have dim {dim}, scorer expects {blocks.shape[1]}")
-    mean_part = np.stack([blocks[:, v.indices] @ v.values for v in doc.sentence_vectors])
-    last_part = np.stack([blocks[:, v.indices + vocab_size] @ v.values for v in doc.sentence_vectors])
-    cursors = np.arange(1, doc.n_sentences + 1)[:, None]
-    return np.cumsum(mean_part, axis=0) / cursors + last_part
+
+    __slots__ = ("doc", "blocks", "rows", "filled", "running")
+
+    def __init__(self, doc: Document, blocks: np.ndarray):
+        vocab_size = doc.sentence_vectors[0].dim
+        dim = state_dim(vocab_size, blocks.shape[0] - 2)
+        if blocks.shape[1] != dim:
+            raise ValueError(f"state features have dim {dim}, scorer expects {blocks.shape[1]}")
+        self.doc = doc
+        self.blocks = blocks
+        self.rows = np.empty((doc.n_sentences, blocks.shape[0]))
+        self.filled = 0
+        # -0.0 is the identity of IEEE addition (0.0 + -0.0 is 0.0), so the
+        # first sum keeps the first part's bits, as cumsum's first row does.
+        self.running = np.full(blocks.shape[0], -0.0)
+
+    def row(self, p: int) -> np.ndarray:
+        """The row of cursor p (1-based), computing the rows up to it."""
+        blocks = self.blocks
+        vocab_size = self.doc.sentence_vectors[0].dim
+        while self.filled < p:
+            v = self.doc.sentence_vectors[self.filled]
+            self.running += blocks[:, v.indices] @ v.values
+            self.rows[self.filled] = self.running / (self.filled + 1) + blocks[:, v.indices + vocab_size] @ v.values
+            self.filled += 1
+        return self.rows[p - 1]
 
 
 def phi_state_action(state: MdpState, action: Action) -> SparseVector:

@@ -4,11 +4,13 @@ The action scorer is a single weight vector over the block state-action
 feature space; the greedy policy takes the argmax of the scores of the
 legal actions, breaking exact ties toward the fixed action ordering; a
 step with one legal action is taken without scoring. A scorer reads each
-step's scores from a per-document table of the mean and last-sentence
-parts (``features.score_table``), built on first use, plus the
-assigned-label part of the state. A greedy policy draws no
-randomness, so its episodes and state values are fixed; it carries
-dicts where ``learn`` keeps them for the one round the policy drives.
+step's scores from its document's rows of the mean and last-sentence
+parts (``features.ScoreRows``), grown on demand up to the step's cursor,
+plus the assigned-label part of the state. Its theta is a private,
+read-only copy, so rows grown at different times share one theta. A
+greedy policy draws no randomness, so its episodes and state values are
+fixed; it carries dicts where ``learn`` keeps them for the one round the
+policy drives.
 
 The classifier minimizes an L2-regularized hinge loss by stochastic
 subgradient descent with step size 1/(lambda*t). Its weight vector is
@@ -54,17 +56,19 @@ class LinearQ:
     theta: np.ndarray  # length (C + 2) * (2V + C)
     n_categories: int
     state_dim: int  # 2V + C
-    # Per-document score tables (features.score_table), built on first use
-    # and keyed by document identity; theta must not change once one exists.
+    # Per-document score rows (features.ScoreRows), grown on demand and
+    # keyed by document identity.
     _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.theta = np.asarray(self.theta, dtype=np.float64)
+        theta = np.array(self.theta, dtype=np.float64)
         expected = features.n_action_blocks(self.n_categories) * self.state_dim
-        if self.theta.shape != (expected,):
-            raise ValueError(f"theta has shape {self.theta.shape}, expected ({expected},)")
-        if not np.all(np.isfinite(self.theta)):
+        if theta.shape != (expected,):
+            raise ValueError(f"theta has shape {theta.shape}, expected ({expected},)")
+        if not np.all(np.isfinite(theta)):
             raise ValueError("theta contains non-finite entries")
+        theta.setflags(write=False)
+        self.theta = theta
 
     def blocks(self) -> np.ndarray:
         return self.theta.reshape(features.n_action_blocks(self.n_categories), self.state_dim)
@@ -74,10 +78,10 @@ class LinearQ:
         if state.halted:
             raise ValueError("halted states have no action scores")
         blocks = self.blocks()
-        table = self._tables.get(state.doc)
-        if table is None:
-            table = self._tables[state.doc] = features.score_table(state.doc, blocks)
-        return table[state.p - 1] + blocks[:, self.state_dim - self.n_categories :] @ state.assigned
+        rows = self._tables.get(state.doc)
+        if rows is None:
+            rows = self._tables[state.doc] = features.ScoreRows(state.doc, blocks)
+        return rows.row(state.p) + blocks[:, self.state_dim - self.n_categories :] @ state.assigned
 
     @staticmethod
     def zeros(n_categories: int, state_dim: int) -> "LinearQ":
@@ -142,8 +146,14 @@ def select_action(
     if isinstance(policy, Greedy):
         if len(actions) == 1:
             return actions[0]
-        scores = policy.q.block_scores(state)
-        return actions[int(np.argmax([scores[features.action_block(a, policy.q.n_categories)] for a in actions]))]
+        scores = policy.q.block_scores(state).tolist()
+        n_categories = policy.q.n_categories
+        best, best_score = actions[0], scores[features.action_block(actions[0], n_categories)]
+        for action in actions[1:]:
+            score = scores[features.action_block(action, n_categories)]
+            if score > best_score:
+                best, best_score = action, score
+        return best
     if rng is None:
         raise ValueError("a uniform-random policy needs an rng")
     return actions[int(rng.integers(len(actions)))]

@@ -31,20 +31,25 @@ _MIN_TOKEN_LEN = 3
 
 
 def assets_dir() -> Path:
-    override = os.environ.get("STC_ASSETS_DIR")
+    return _assets_dir(os.environ.get("STC_ASSETS_DIR"))
+
+
+def _assets_dir(override: str | None) -> Path:
     if override:
         return Path(override)
     return Path(__file__).parent / "assets"
 
 
 @lru_cache(maxsize=None)
-def _load_stopwords(path: str) -> frozenset[str]:
-    with open(path, encoding="utf-8") as fh:
+def _load_stopwords(override: str | None) -> frozenset[str]:
+    with open(_assets_dir(override) / "smart_stopwords.txt", encoding="utf-8") as fh:
         return frozenset(line.strip() for line in fh if line.strip())
 
 
 def stopword_set() -> frozenset[str]:
-    return _load_stopwords(str(assets_dir() / "smart_stopwords.txt"))
+    """The stop words of the asset directory, read once per value of
+    ``STC_ASSETS_DIR``, so an override set at run time takes effect."""
+    return _load_stopwords(os.environ.get("STC_ASSETS_DIR"))
 
 
 def split_sentences(text: str) -> list[str]:

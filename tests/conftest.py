@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from stc.corpus import Document
+from stc.mdp import available_actions, initial_state, transition
 from stc.sparse import SparseVector
 
 
@@ -15,6 +16,32 @@ def sparse(dense):
 def norm(vec):
     """The L2 norm of a sparse vector."""
     return float(np.sqrt(vec.values @ vec.values))
+
+
+def score_table(doc, blocks):
+    """Every cursor's score row at once, through ``np.cumsum``: the
+    whole-document table that ``features.ScoreRows`` must reproduce bit
+    for bit."""
+    vocab_size = doc.sentence_vectors[0].dim
+    mean_part = np.stack([blocks[:, v.indices] @ v.values for v in doc.sentence_vectors])
+    last_part = np.stack([blocks[:, v.indices + vocab_size] @ v.values for v in doc.sentence_vectors])
+    cursors = np.arange(1, doc.n_sentences + 1)[:, None]
+    return np.cumsum(mean_part, axis=0) / cursors + last_part
+
+
+def live_states(doc, mode):
+    """Every live state reachable from the initial one, in visiting order."""
+    seen, frontier = [], [initial_state(doc)]
+    while frontier:
+        state = frontier.pop(0)
+        if state in seen:
+            continue
+        seen.append(state)
+        for action in available_actions(state, mode):
+            successor = transition(state, action, mode)
+            if not successor.halted:
+                frontier.append(successor)
+    return seen
 
 
 def make_doc(n_sentences, y, vocab_size=4, seed=0, doc_id="doc"):

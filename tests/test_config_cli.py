@@ -187,6 +187,32 @@ class TestTrainEvaluateTrace:
                      "--doc-id", doc_id]) == 0
         out = capsys.readouterr().out
         assert "step 1:" in out and "reward:" in out
+        steps = [line for line in out.splitlines() if line.startswith("step ")]
+        assert steps
+        for line in steps:
+            margin = line.split(" margin=", 1)[1]
+            if margin != "forced":
+                value, *flag = margin.split(" ")
+                assert float(value) >= 0.0
+                assert flag == (["near-tie"] if float(value) <= 1e-12 else [])
+
+    def test_trace_flags_every_decision_of_a_zero_theta_as_a_near_tie(
+        self, config_file, corpus_file, tmp_path, capsys
+    ):
+        assert main(["train", "--config", str(config_file), "--method", "stc"]) == 0
+        model = tmp_path / "out" / "stc.model.json"
+        record = json.loads(model.read_text())
+        record["weights"]["theta"].update(indices=[], values=[])
+        model.write_text(json.dumps(record))
+        capsys.readouterr()
+
+        doc_id = json.loads(corpus_file.read_text().splitlines()[0])["id"]
+        assert main(["trace", "--model", str(model), "--corpus", str(corpus_file), "--doc-id", doc_id]) == 0
+        steps = [line for line in capsys.readouterr().out.splitlines() if line.startswith("step ")]
+        margins = [line.split(" margin=", 1)[1] for line in steps]
+        # Every score is 0: the first legal action wins each tie, so a mono
+        # agent classifies at sentence 1 and then takes the forced stop.
+        assert margins == ["0.000e+00 near-tie", "forced"]
 
     def test_train_rerun_is_byte_identical(self, config_file, tmp_path):
         assert main(["train", "--config", str(config_file), "--method", "baseline"]) == 0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_doc, norm, sparse
+from conftest import live_states, make_doc, norm, score_table, sparse
 from stc.corpus import Document, MONO_LABEL, MULTI_LABEL
 from stc.features import (
     action_block,
@@ -9,10 +9,10 @@ from stc.features import (
     phi_state,
     phi_state_action,
     phi_states,
-    score_table,
+    ScoreRows,
     state_dim,
 )
-from stc.mdp import NEXT, STOP, available_actions, classify, initial_state, transition
+from stc.mdp import NEXT, STOP, classify, initial_state, transition
 
 
 def _doc_from_dense(rows, y):
@@ -73,11 +73,13 @@ def test_score_table_matches_dense_features_with_empty_sentences():
     doc = _doc_from_dense([[1.0, 0.0], [0.0, 0.0], [0.6, 0.8], [0.0, 0.0]], [1, 0])
     blocks = np.random.default_rng(4).standard_normal((4, state_dim(2, 2)))
     table = score_table(doc, blocks)
+    rows = ScoreRows(doc, blocks)
     assert table.shape == (4, 4)
     state = transition(initial_state(doc), classify(1), MULTI_LABEL)
     for p in range(1, 5):
         dense = blocks @ phi_state(state).to_dense()
         np.testing.assert_allclose(table[p - 1] + blocks[:, 4:] @ state.assigned, dense, rtol=0, atol=1e-12)
+        assert rows.row(p).tobytes() == table[p - 1].tobytes()
         if p < 4:
             state = transition(state, NEXT, MULTI_LABEL)
 
@@ -154,21 +156,6 @@ def _phi_state_per_state(state):
     return indices, values
 
 
-def _live_states(doc, mode):
-    """Every live state reachable from the initial one, in visiting order."""
-    seen, frontier = [], [initial_state(doc)]
-    while frontier:
-        state = frontier.pop(0)
-        if state in seen:
-            continue
-        seen.append(state)
-        for action in available_actions(state, mode):
-            successor = transition(state, action, mode)
-            if not successor.halted:
-                frontier.append(successor)
-    return seen
-
-
 def _oracle_docs():
     """Toy documents over V = 5 with C = 3: empty sentences, terms that
     recur across sentences with weights whose sum depends on its order,
@@ -199,7 +186,7 @@ def _assert_oracle_bytes(vec, state):
 @pytest.mark.parametrize("mode", [MONO_LABEL, MULTI_LABEL])
 def test_phi_states_match_per_state_bincount_on_every_live_state(mode):
     for doc in _oracle_docs():
-        states = _live_states(doc, mode)
+        states = live_states(doc, mode)
         assert {s.p for s in states} == set(range(1, doc.n_sentences + 1))
         for state, vec in zip(states, phi_states(states), strict=True):
             _assert_oracle_bytes(vec, state)
@@ -208,7 +195,7 @@ def test_phi_states_match_per_state_bincount_on_every_live_state(mode):
 
 @pytest.mark.parametrize("mode", [MONO_LABEL, MULTI_LABEL])
 def test_one_block_mixes_documents_of_different_lengths(mode):
-    states = [s for doc in _oracle_docs() for s in _live_states(doc, mode)]
+    states = [s for doc in _oracle_docs() for s in live_states(doc, mode)]
     order = np.random.default_rng(2).permutation(len(states))
     batch = [states[i] for i in order] + states[:3]  # repeats are rows of their own
     vectors = phi_states(batch)
@@ -228,3 +215,46 @@ def test_phi_states_reject_halted_and_mismatched_states(tiny_doc):
     other = make_doc(2, [1, 0], vocab_size=6, seed=1)
     with pytest.raises(ValueError, match="share"):
         phi_states([live, initial_state(other)])
+
+
+# --- score rows grown on demand ---------------------------------------------
+
+
+def _score_docs():
+    """``_oracle_docs`` plus an eight-sentence document with an empty
+    first and an empty inner sentence."""
+    eight = make_doc(8, [0, 1, 0], vocab_size=5, seed=8)
+    empty = sparse(np.zeros(5))
+    eight.sentence_vectors[0] = eight.sentence_vectors[4] = empty
+    return [*_oracle_docs(), eight]
+
+
+def _blocks(seed):
+    return np.random.default_rng(seed).standard_normal((5, state_dim(5, 3)))
+
+
+def test_score_rows_match_cumsum_table_bytes():
+    for seed, doc in enumerate(_score_docs()):
+        blocks = _blocks(seed)
+        table = score_table(doc, blocks)
+        rows = ScoreRows(doc, blocks)
+        for p in range(1, doc.n_sentences + 1):
+            assert rows.row(p).tobytes() == table[p - 1].tobytes()
+            assert rows.filled == p
+        assert rows.rows.tobytes() == table.tobytes()
+
+
+def test_score_rows_out_of_order_requests_give_the_same_bytes():
+    doc = _score_docs()[-1]
+    blocks = _blocks(11)
+    table = score_table(doc, blocks)
+    rows = ScoreRows(doc, blocks)
+    for p, filled in ((3, 3), (1, 3), (5, 5), (2, 5)):
+        assert rows.row(p).tobytes() == table[p - 1].tobytes()
+        assert rows.filled == filled
+
+
+def test_score_rows_reject_a_scorer_of_another_state_dim():
+    doc = _score_docs()[0]
+    with pytest.raises(ValueError, match="scorer expects"):
+        ScoreRows(doc, np.zeros((5, state_dim(5, 3) + 1)))

@@ -3,10 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import make_doc, sparse
+from conftest import live_states, make_doc, score_table, sparse
 from stc.corpus import MONO_LABEL, MULTI_LABEL
 from stc.features import action_block, phi_state, state_dim
-from stc.mdp import NEXT, STOP, available_actions, classify, initial_state, transition
+from stc.mdp import NEXT, STOP, available_actions, classify, initial_state, transition, walk
 from stc.policy import (
     ClassifierConfig,
     Greedy,
@@ -79,6 +79,45 @@ class TestQValue:
         assert not np.allclose(q.block_scores(initial_state(doc_a)), q.block_scores(initial_state(doc_b)))
 
 
+class TestScoreRows:
+    @pytest.mark.parametrize("mode", [MONO_LABEL, MULTI_LABEL])
+    def test_block_scores_match_the_table_on_every_live_state(self, mode):
+        dim = state_dim(4, 2)
+        for seed in range(5):
+            doc = make_doc(2 + seed, [1, 0], seed=seed)
+            q = LinearQ(np.random.default_rng(seed).standard_normal(4 * dim), 2, dim)
+            table = score_table(doc, q.blocks())
+            for state in live_states(doc, mode):
+                expected = table[state.p - 1] + q.blocks()[:, 2 * 4 :] @ state.assigned
+                assert q.block_scores(state).tobytes() == expected.tobytes()
+
+    def test_greedy_walk_fills_rows_up_to_its_last_cursor(self):
+        dim = state_dim(4, 2)
+        stops = set()
+        for seed in range(30):
+            doc = make_doc(6, [1, 0], seed=seed)
+            theta = np.random.default_rng(seed).standard_normal(4 * dim)
+            theta.reshape(4, dim)[action_block(NEXT, 2)] += 0.5  # read further on some seeds
+            q = LinearQ(theta, 2, dim)
+            states, _ = walk(initial_state(doc), lambda s: select_action(Greedy(q), s, MONO_LABEL), MONO_LABEL)
+            stops.add(states[-1].p)
+            assert q._tables[doc].filled == states[-1].p
+        assert len(stops) > 2
+
+    def test_theta_is_a_read_only_private_copy(self, tiny_doc):
+        dim = state_dim(4, 2)
+        theta = np.random.default_rng(3).standard_normal(4 * dim)
+        q = LinearQ(theta, 2, dim)
+        state = initial_state(tiny_doc)
+        before = q.block_scores(state).tobytes()
+        with pytest.raises(ValueError):
+            q.theta[0] = 1.0
+        theta[:] = 0.0
+        assert q.block_scores(state).tobytes() == before
+        assert LinearQ(theta, 2, dim).block_scores(state).tobytes() != before
+        assert LinearQ(q.theta, 2, dim).block_scores(state).tobytes() == before
+
+
 class TestSelectAction:
     def test_tie_break_goes_to_first_action(self, tiny_doc):
         q = LinearQ.zeros(2, state_dim(4, 2))
@@ -133,6 +172,9 @@ class TestSelectAction:
         assert q._tables == {}
         select_action(Greedy(q), initial_state(tiny_doc), mode)
         assert list(q._tables) == [tiny_doc]
+        assert q._tables[tiny_doc].filled == 1
+        assert select_action(Greedy(q), state, mode) == STOP
+        assert q._tables[tiny_doc].filled == 1
 
     def test_uniform_random_needs_rng(self, tiny_doc):
         with pytest.raises(ValueError, match="needs an rng"):

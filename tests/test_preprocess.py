@@ -63,6 +63,16 @@ def test_stopword_asset_checksum_is_stable():
     assert digest == "220f9e4fde204eb4d4a216f4b5024633b61e41555809f95d9b12f0773be0a3f3"
 
 
+def test_stopword_override_set_at_run_time_takes_effect(tmp_path, monkeypatch):
+    bundled = stopword_set()
+    (tmp_path / "smart_stopwords.txt").write_text("cocoa\nprices\n", encoding="utf-8")
+    monkeypatch.setenv("STC_ASSETS_DIR", str(tmp_path))
+    assert stopword_set() == {"cocoa", "prices"}
+    assert preprocess_sentence("The prices of cocoa") == ["the"]
+    monkeypatch.delenv("STC_ASSETS_DIR")
+    assert stopword_set() == bundled
+
+
 def test_pipeline_drops_stopwords_and_stems():
     assert preprocess_sentence("The prices of cocoa") == ["price", "cocoa"]
 
