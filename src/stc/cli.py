@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import corpus as corpus_mod
 from . import evaluation, features, learn
-from .baseline import BaselineModel, predict_baseline, train_baseline
+from .baseline import BaselineModel, train_baseline
 from .config import ConfigError, RunConfig, load_config
 from .corpus import CategorySet, Vocabulary
 from .mdp import initial_state, prf1, walk
@@ -89,13 +89,14 @@ def _check_split(fraction: float, run: int) -> None:
 def _prepare(cfg: RunConfig, fraction: float, run: int):
     raw_docs = _load_corpus(cfg.corpus)
     categories = CategorySet.from_documents(raw_docs)
-    split = corpus_mod.make_splits(raw_docs, fraction, run + 1, cfg.seed)[run]
-    return (categories, *corpus_mod.prepare_split(raw_docs, categories, split, cfg.mode))
+    split = corpus_mod.make_splits(raw_docs, fraction, run + 1, cfg.plan.seed)[run]
+    return (categories, *corpus_mod.prepare_split(raw_docs, categories, split, cfg.plan.mode))
 
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config, _config_overrides(args))
-    fraction = args.fraction if args.fraction is not None else cfg.fractions[0]
+    plan = cfg.plan
+    fraction = args.fraction if args.fraction is not None else plan.fractions[0]
     run = args.run
     _check_split(fraction, run)
     categories, vocab, train_docs, _ = _prepare(cfg, fraction, run)
@@ -104,16 +105,16 @@ def cmd_train(args) -> int:
         "corpus": str(cfg.corpus),
         "fraction": fraction,
         "run": run,
-        "seed": cfg.seed,
+        "seed": plan.seed,
         "vocabulary": vocab.to_record(),
     }
     if args.method == "stc":
-        result = learn.policy_iteration(train_docs, cfg.mode, cfg.rollout_config())
+        result = learn.policy_iteration(train_docs, plan.mode, plan.rollout)
         model_path = cfg.output_dir / "stc.model.json"
         save_model(
             model_path,
             kind="policy",
-            mode=cfg.mode,
+            mode=plan.mode,
             categories=categories.names,
             vocab_checksum=vocab.checksum(),
             weights={"theta": result.q.theta},
@@ -125,12 +126,12 @@ def cmd_train(args) -> int:
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
         print(f"wrote {model_path} and {telemetry_path} ({len(result.telemetry)} iteration(s))")
     else:
-        model = train_baseline(train_docs, cfg.baseline_config(), cfg.mode)
+        model = train_baseline(train_docs, plan.baseline, plan.mode)
         model_path = cfg.output_dir / "baseline.model.json"
         save_model(
             model_path,
             kind="baseline",
-            mode=cfg.mode,
+            mode=plan.mode,
             categories=categories.names,
             vocab_checksum=vocab.checksum(),
             weights={f"w_{k}": model.weights[k] for k in range(model.weights.shape[0])},
@@ -142,26 +143,28 @@ def cmd_train(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = load_config(args.config, _config_overrides(args))
+    mode = cfg.plan.mode
     record = load_model(args.model)
-    if record["mode"] != cfg.mode:
-        _eprint(f"evaluate: the model was trained for mode {record['mode']!r}, the config asks for {cfg.mode!r}")
+    if record["mode"] != mode:
+        _eprint(f"evaluate: the model was trained for mode {record['mode']!r}, the config asks for {mode!r}")
         return EXIT_VALIDATION
     fraction = args.fraction if args.fraction is not None else record["metadata"]["fraction"]
     run = args.run if args.run is not None else record["metadata"]["run"]
     _check_split(fraction, run)
     categories, vocab, _, test_docs = _prepare(cfg, fraction, run)
+    if list(categories.names) != record["categories"]:
+        _eprint(
+            f"evaluate: the model was trained for categories {record['categories']}, "
+            f"the corpus has {list(categories.names)}"
+        )
+        return EXIT_VALIDATION
     if vocab.checksum() != record["vocab_checksum"]:
         raise ValueError(
             "vocabulary checksum mismatch: the model was trained on a different split or corpus"
         )
     n_categories = len(categories)
     if record["kind"] == "policy":
-        q = LinearQ(
-            record["weights"]["theta"],
-            n_categories,
-            features.state_dim(len(vocab), n_categories),
-        )
-        preds, logs = evaluation.evaluate_policy(Greedy(q), test_docs, cfg.mode)
+        preds, logs = evaluation.evaluate_policy(Greedy(_policy_q(record, vocab)), test_docs, mode)
         metrics = {
             "method": "stc",
             "fraction": fraction,
@@ -175,12 +178,7 @@ def cmd_evaluate(args) -> int:
 
         weights = np.stack([record["weights"][f"w_{k}"] for k in range(n_categories)])
         model = BaselineModel(weights=weights, mode=record["mode"])
-        preds = [
-            evaluation.Prediction(
-                d.id, tuple(int(v) for v in d.y), tuple(int(v) for v in predict_baseline(model, d))
-            )
-            for d in test_docs
-        ]
+        preds = evaluation.evaluate_baseline(model, test_docs)
         metrics = {
             "method": "baseline",
             "fraction": fraction,
@@ -201,7 +199,7 @@ def cmd_evaluate(args) -> int:
 def cmd_experiment(args) -> int:
     cfg = load_config(args.config, _config_overrides(args))
     raw_docs = _load_corpus(cfg.corpus)
-    report = evaluation.run_experiment(raw_docs, cfg.experiment_plan())
+    report = evaluation.run_experiment(raw_docs, cfg.plan)
     written = evaluation.write_report_files(report, cfg.output_dir)
     for name, path in sorted(written.items()):
         print(f"wrote {name}: {path}")
@@ -226,10 +224,7 @@ def cmd_trace(args) -> int:
     categories = CategorySet(tuple(record["categories"]))
     mode = record["mode"]
     doc = corpus_mod.vectorize_corpus(matches, vocab, categories, mode)[0]
-    n_categories = len(categories)
-    q = LinearQ(
-        record["weights"]["theta"], n_categories, features.state_dim(len(vocab), n_categories)
-    )
+    q = _policy_q(record, vocab)
 
     print(f"doc {doc.id}: {doc.n_sentences} sentence(s), labels: "
           f"{', '.join(n for n, v in zip(categories.names, doc.y) if v)}")
@@ -244,6 +239,12 @@ def cmd_trace(args) -> int:
     reward = prf1(doc.y, final.assigned)[2]
     print(f"reward: {reward:.6f}  read {final.p}/{doc.n_sentences} sentence(s)")
     return EXIT_OK
+
+
+def _policy_q(record: dict, vocab: Vocabulary) -> LinearQ:
+    """The scorer of a saved reading-agent model, over its vocabulary."""
+    n_categories = len(record["categories"])
+    return LinearQ(record["weights"]["theta"], n_categories, features.state_dim(len(vocab), n_categories))
 
 
 # Greedy decisions whose best two scores are this close can flip when only
@@ -261,20 +262,12 @@ def _margin(q: LinearQ, state, mode: str) -> str:
     return f"{margin:.3e}" + (" near-tie" if margin <= NEAR_TIE else "")
 
 
+# The config keys a flag can override; each flag's argparse dest is its key.
+_CONFIG_FLAGS = ("seed", "n_runs", "workers", "mode", "output_dir", "corpus")
+
+
 def _config_overrides(args) -> dict:
-    overrides = {}
-    for attr, key in (
-        ("seed", "seed"),
-        ("n_runs", "n_runs"),
-        ("workers", "workers"),
-        ("mode", "mode"),
-        ("output_dir", "output_dir"),
-        ("corpus_override", "corpus"),
-    ):
-        value = getattr(args, attr, None)
-        if value is not None:
-            overrides[key] = value
-    return overrides
+    return {key: getattr(args, key) for key in _CONFIG_FLAGS}
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -284,7 +277,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workers", type=int, help="override the worker count")
     parser.add_argument("--mode", choices=["mono", "multi"], help="override the task mode")
     parser.add_argument("--output-dir", dest="output_dir", help="override the output directory")
-    parser.add_argument("--corpus", dest="corpus_override", help="override the corpus path")
+    parser.add_argument("--corpus", help="override the corpus path")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -4,6 +4,13 @@ A single JSON file drives training, evaluation, and experiments. Every
 key is validated against the schema below and unknown keys are rejected,
 so typos in hyperparameter sweeps fail loudly. The seed is mandatory:
 nothing in the pipeline falls back to wall-clock seeding.
+
+``load_config`` builds the library's own ``ExperimentPlan`` from the
+keys the file (or a flag) sets. An omitted setting takes the default of
+the dataclass that owns it (``ExperimentPlan``, ``RolloutConfig`` or
+``ClassifierConfig``); this module writes no default of its own. Paths
+in the file resolve against the file's directory, paths given as flags
+against the working directory.
 """
 
 from __future__ import annotations
@@ -26,95 +33,21 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A validated config; ``load_config`` fills every field, defaults included."""
+    """A validated config: where the data is, where results go, and the plan."""
 
     corpus: Path
-    mode: str
-    seed: int
     output_dir: Path
-    fractions: tuple[float, ...]
-    n_runs: int
-    workers: int
-    stc_n_states: int
-    stc_rollouts_per_state: int
-    stc_iterations: int
-    stc_epochs: int
-    stc_lambda_grid: tuple[float, ...]
-    baseline_epochs: int
-    baseline_lambda_grid: tuple[float, ...]
-    histogram_fraction: float | None
-    histogram_bins: int
-
-    def rollout_config(self) -> RolloutConfig:
-        return RolloutConfig(
-            n_states=self.stc_n_states,
-            rollouts_per_state=self.stc_rollouts_per_state,
-            iterations=self.stc_iterations,
-            seed=self.seed,
-            classifier=ClassifierConfig(
-                lam=self.stc_lambda_grid[0],
-                epochs=self.stc_epochs,
-                seed=self.seed,
-            ),
-        )
-
-    def baseline_config(self) -> ClassifierConfig:
-        return ClassifierConfig(
-            lam=self.baseline_lambda_grid[0],
-            epochs=self.baseline_epochs,
-            seed=self.seed,
-        )
-
-    def experiment_plan(self) -> ExperimentPlan:
-        histogram_fraction = self.histogram_fraction
-        if histogram_fraction is None:
-            histogram_fraction = 0.3 if 0.3 in self.fractions else self.fractions[0]
-        return ExperimentPlan(
-            mode=self.mode,
-            fractions=self.fractions,
-            n_runs=self.n_runs,
-            seed=self.seed,
-            rollout=self.rollout_config(),
-            stc_lambda_grid=self.stc_lambda_grid,
-            baseline=self.baseline_config(),
-            baseline_lambda_grid=self.baseline_lambda_grid,
-            histogram_fraction=histogram_fraction,
-            histogram_bins=self.histogram_bins,
-            workers=self.workers,
-        )
-
-
-_TOP_KEYS = {
-    "corpus",
-    "mode",
-    "seed",
-    "output_dir",
-    "fractions",
-    "n_runs",
-    "workers",
-    "stc",
-    "baseline",
-    "histogram",
-}
-_STC_KEYS = {"n_states", "rollouts_per_state", "iterations", "epochs", "lambda_grid"}
-_BASELINE_KEYS = {"epochs", "lambda_grid"}
-_HISTOGRAM_KEYS = {"fraction", "bins"}
-
-
-def _reject_unknown(mapping: dict, allowed: set[str], where: str) -> None:
-    unknown = set(mapping) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
-
-
-def _require(mapping: dict, key: str, where: str):
-    if key not in mapping:
-        raise ConfigError(f"missing required key {key!r} in {where}")
-    return mapping[key]
+    plan: ExperimentPlan
 
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _positive_int(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"{name} must be a positive integer")
+    return value
 
 
 def _distinct_numbers(value, name: str, valid, requirement: str) -> tuple[float, ...]:
@@ -126,9 +59,52 @@ def _distinct_numbers(value, name: str, valid, requirement: str) -> tuple[float,
     return tuple(float(v) for v in value)
 
 
+def _fractions(value, name: str) -> tuple[float, ...]:
+    return _distinct_numbers(value, name, lambda f: 0.0 < f < 1.0, "strictly between 0 and 1")
+
+
+def _lambdas(value, name: str) -> tuple[float, ...]:
+    return _distinct_numbers(value, name, lambda v: v > 0, "positive")
+
+
+def _histogram_fraction(value, name: str) -> float | None:
+    if value is not None and not (_is_number(value) and 0.0 < value < 1.0):
+        raise ConfigError(f"{name} must be null or a number strictly between 0 and 1")
+    return value
+
+
+# The settings of each section, each with its check. A key's name inside
+# its section is the name of the dataclass field it sets.
+_TOP_SETTINGS = {"fractions": _fractions, "n_runs": _positive_int, "workers": _positive_int}
+_STC_SETTINGS = {
+    "n_states": _positive_int,
+    "rollouts_per_state": _positive_int,
+    "iterations": _positive_int,
+    "epochs": _positive_int,
+    "lambda_grid": _lambdas,
+}
+_BASELINE_SETTINGS = {"epochs": _positive_int, "lambda_grid": _lambdas}
+_HISTOGRAM_SETTINGS = {"fraction": _histogram_fraction, "bins": _positive_int}
+_REQUIRED = ("corpus", "mode", "seed", "output_dir")
+_SECTIONS = {"stc": _STC_SETTINGS, "baseline": _BASELINE_SETTINGS, "histogram": _HISTOGRAM_SETTINGS}
+_TOP_KEYS = {*_REQUIRED, *_TOP_SETTINGS, *_SECTIONS}
+
+
+def _reject_unknown(mapping: dict, allowed, where: str) -> None:
+    unknown = set(mapping) - set(allowed)
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
+
+
+def _settings(mapping: dict, checks: dict, prefix: str) -> dict:
+    """The settings ``mapping`` holds, each passed through its check."""
+    return {key: check(mapping[key], prefix + key) for key, check in checks.items() if key in mapping}
+
+
 def load_config(path, overrides: dict | None = None) -> RunConfig:
-    """Parse and validate a config file; ``overrides`` (from CLI flags)
-    take precedence over file values, which take precedence over defaults."""
+    """Parse and validate a config file; ``overrides`` (from CLI flags,
+    keyed by config key) take precedence over file values, which take
+    precedence over the library's defaults."""
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
@@ -139,87 +115,56 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     _reject_unknown(raw, _TOP_KEYS, "config")
-
-    stc = raw.get("stc", {})
-    baseline = raw.get("baseline", {})
-    histogram = raw.get("histogram", {})
-    for section, allowed, where in (
-        (stc, _STC_KEYS, "config.stc"),
-        (baseline, _BASELINE_KEYS, "config.baseline"),
-        (histogram, _HISTOGRAM_KEYS, "config.histogram"),
-    ):
+    sections = {name: raw.get(name, {}) for name in _SECTIONS}
+    for name, section in sections.items():
         if not isinstance(section, dict):
-            raise ConfigError(f"{where} must be an object")
-        _reject_unknown(section, allowed, where)
+            raise ConfigError(f"config.{name} must be an object")
+        _reject_unknown(section, _SECTIONS[name], f"config.{name}")
+    for key in _REQUIRED:
+        if key not in raw:
+            raise ConfigError(f"missing required key {key!r} in config")
 
-    merged = {
-        "corpus": _require(raw, "corpus", "config"),
-        "mode": _require(raw, "mode", "config"),
-        "seed": _require(raw, "seed", "config"),
-        "output_dir": _require(raw, "output_dir", "config"),
-        "fractions": raw.get("fractions", (0.01, 0.05, 0.1, 0.3, 0.5, 0.9)),
-        "n_runs": raw.get("n_runs", 5),
-        "workers": raw.get("workers", 1),
-        "stc_n_states": stc.get("n_states", 10000),
-        "stc_rollouts_per_state": stc.get("rollouts_per_state", 1),
-        "stc_iterations": stc.get("iterations", 5),
-        "stc_epochs": stc.get("epochs", 5),
-        "stc_lambda_grid": stc.get("lambda_grid", (1e-3,)),
-        "baseline_epochs": baseline.get("epochs", 5),
-        "baseline_lambda_grid": baseline.get("lambda_grid", (1e-5, 1e-4, 1e-3)),
-        "histogram_fraction": histogram.get("fraction"),
-        "histogram_bins": histogram.get("bins", 10),
-    }
-    if overrides:
-        for key, value in overrides.items():
-            if value is not None:
-                merged[key] = value
-
-    mode = merged["mode"]
+    flags = {key: value for key, value in (overrides or {}).items() if value is not None}
+    merged = {**raw, **flags}
+    mode, seed = merged["mode"], merged["seed"]
     if mode not in (MONO_LABEL, MULTI_LABEL):
         raise ConfigError(f"mode must be {MONO_LABEL!r} or {MULTI_LABEL!r}, got {mode!r}")
-    if isinstance(merged["seed"], bool) or not isinstance(merged["seed"], int):
+    if isinstance(seed, bool) or not isinstance(seed, int):
         raise ConfigError("seed must be an integer (wall-clock seeding is not supported)")
-    corpus_path = Path(merged["corpus"])
-    if not corpus_path.is_absolute():
-        corpus_path = path.parent / corpus_path
-    if not corpus_path.exists():
-        raise ConfigError(f"corpus file does not exist: {corpus_path}")
-    fractions = _distinct_numbers(merged["fractions"], "fractions", lambda f: 0.0 < f < 1.0, "strictly between 0 and 1")
-    for name in ("n_runs", "workers", "stc.n_states", "stc.rollouts_per_state", "stc.iterations",
-                 "stc.epochs", "baseline.epochs", "histogram.bins"):
-        value = merged[name.replace(".", "_")]
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise ConfigError(f"{name} must be a positive integer")
-    stc_lambda_grid = _distinct_numbers(merged["stc_lambda_grid"], "stc.lambda_grid", lambda v: v > 0, "positive")
-    baseline_lambda_grid = _distinct_numbers(
-        merged["baseline_lambda_grid"], "baseline.lambda_grid", lambda v: v > 0, "positive"
-    )
-    hist_fraction = merged["histogram_fraction"]
-    if hist_fraction is not None and not (_is_number(hist_fraction) and 0.0 < hist_fraction < 1.0):
-        raise ConfigError("histogram.fraction must be null or a number strictly between 0 and 1")
-    if hist_fraction is not None and hist_fraction not in fractions:
-        raise ConfigError(f"histogram.fraction {hist_fraction!r} is not one of the fractions")
 
-    output_dir = Path(merged["output_dir"])
-    if not output_dir.is_absolute():
-        output_dir = path.parent / output_dir
+    def resolve(key: str) -> Path:
+        # A path from the file is relative to the file, one from a flag to
+        # the working directory.
+        if not isinstance(merged[key], str):
+            raise ConfigError(f"{key} must be a path string")
+        value = Path(merged[key])
+        return value if value.is_absolute() or key in flags else path.parent / value
 
-    return RunConfig(
-        corpus=corpus_path,
+    corpus = resolve("corpus")
+    if not corpus.exists():
+        raise ConfigError(f"corpus file does not exist: {corpus}")
+
+    top = _settings(merged, _TOP_SETTINGS, "")
+    stc, baseline, histogram = (_settings(sections[name], _SECTIONS[name], f"{name}.") for name in _SECTIONS)
+
+    fractions = top.get("fractions", ExperimentPlan.fractions)
+    if histogram.get("fraction") is None:
+        preferred = ExperimentPlan.histogram_fraction
+        histogram["fraction"] = preferred if preferred in fractions else fractions[0]
+    elif histogram["fraction"] not in fractions:
+        raise ConfigError(f"histogram.fraction {histogram['fraction']!r} is not one of the fractions")
+
+    stc_grid = stc.pop("lambda_grid", ExperimentPlan.stc_lambda_grid)
+    stc_epochs = {"epochs": stc.pop("epochs")} if "epochs" in stc else {}
+    baseline_grid = baseline.pop("lambda_grid", ExperimentPlan.baseline_lambda_grid)
+    plan = ExperimentPlan(
         mode=mode,
-        seed=merged["seed"],
-        output_dir=output_dir,
-        fractions=fractions,
-        n_runs=merged["n_runs"],
-        workers=merged["workers"],
-        stc_n_states=merged["stc_n_states"],
-        stc_rollouts_per_state=merged["stc_rollouts_per_state"],
-        stc_iterations=merged["stc_iterations"],
-        stc_epochs=merged["stc_epochs"],
-        stc_lambda_grid=stc_lambda_grid,
-        baseline_epochs=merged["baseline_epochs"],
-        baseline_lambda_grid=baseline_lambda_grid,
-        histogram_fraction=merged["histogram_fraction"],
-        histogram_bins=merged["histogram_bins"],
+        seed=seed,
+        rollout=RolloutConfig(seed=seed, classifier=ClassifierConfig(lam=stc_grid[0], seed=seed, **stc_epochs), **stc),
+        stc_lambda_grid=stc_grid,
+        baseline=ClassifierConfig(lam=baseline_grid[0], seed=seed, **baseline),
+        baseline_lambda_grid=baseline_grid,
+        **top,
+        **{f"histogram_{key}": value for key, value in histogram.items()},
     )
+    return RunConfig(corpus=corpus, output_dir=resolve("output_dir"), plan=plan)

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import corpus as corpus_mod
-from .baseline import predict_baseline, train_baseline
+from .baseline import BaselineModel, predict_baseline, train_baseline
 from .corpus import CategorySet, Document, RawDocument, Split, TaskMode
 from .learn import RolloutConfig, derived_seed, policy_iteration
 from .mdp import EpisodeLog, prf1, run_episode
@@ -31,6 +31,7 @@ __all__ = [
     "reading_size",
     "reading_histogram",
     "evaluate_policy",
+    "evaluate_baseline",
     "ExperimentPlan",
     "CellResult",
     "AggregateRow",
@@ -94,6 +95,13 @@ def evaluate_policy(
         preds.append(Prediction(doc.id, tuple(int(v) for v in doc.y), log.final_assigned))
         logs.append(log)
     return preds, logs
+
+
+def evaluate_baseline(model: BaselineModel, docs: list[Document]) -> list[Prediction]:
+    """The baseline's prediction for each document, one document at a time."""
+    return [
+        Prediction(d.id, tuple(int(v) for v in d.y), tuple(int(v) for v in predict_baseline(model, d))) for d in docs
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -197,10 +205,7 @@ def _run_split_job(job: tuple[Split, int]) -> tuple[list[CellResult], dict[float
                 seed=derived_seed(plan.seed, 1, fraction_index, run, lam_index),
             )
             model = train_baseline(train_docs, cfg, plan.mode)
-            preds = [
-                Prediction(d.id, tuple(int(v) for v in d.y), tuple(int(v) for v in predict_baseline(model, d)))
-                for d in test_docs
-            ]
+            preds = evaluate_baseline(model, test_docs)
             cell.micro_f1 = micro_f1(preds)
             cell.macro_f1 = macro_f1(preds, n_categories)
         except Exception as exc:  # noqa: BLE001

@@ -7,6 +7,9 @@ from stc import synthetic
 from stc.cli import main
 from stc.config import ConfigError, load_config
 from stc.corpus import save_jsonl
+from stc.evaluation import ExperimentPlan
+from stc.learn import RolloutConfig
+from stc.policy import ClassifierConfig
 
 
 @pytest.fixture
@@ -41,9 +44,9 @@ def config_file(tmp_path, corpus_file):
 class TestConfig:
     def test_load_valid(self, config_file):
         cfg = load_config(config_file)
-        assert cfg.mode == "mono"
-        assert cfg.fractions == (0.5,)
-        assert cfg.stc_n_states == 150
+        assert cfg.plan.mode == "mono"
+        assert cfg.plan.fractions == (0.5,)
+        assert cfg.plan.rollout.n_states == 150
 
     def test_unknown_top_level_key(self, tmp_path, config_file):
         raw = json.loads(config_file.read_text())
@@ -79,7 +82,40 @@ class TestConfig:
 
     def test_overrides_beat_file(self, config_file):
         cfg = load_config(config_file, overrides={"seed": 99})
-        assert cfg.seed == 99
+        assert cfg.plan.seed == 99
+
+    def test_omitted_settings_take_the_library_defaults(self, tmp_path, corpus_file):
+        minimal = tmp_path / "minimal.json"
+        minimal.write_text(json.dumps({"corpus": str(corpus_file), "mode": "multi", "seed": 3, "output_dir": "out"}))
+        cfg = load_config(minimal)
+        # The baseline's lambda is the first entry of its default grid, not
+        # ClassifierConfig's own default.
+        assert cfg.plan == ExperimentPlan(
+            "multi",
+            seed=3,
+            rollout=RolloutConfig(seed=3, classifier=ClassifierConfig(seed=3)),
+            baseline=ClassifierConfig(lam=1e-5, seed=3),
+        )
+
+    def test_file_paths_resolve_against_the_file_and_flag_paths_against_the_working_directory(
+        self, tmp_path, corpus_file, monkeypatch
+    ):
+        sub = tmp_path / "sub"
+        sub.mkdir()
+        (sub / "a.jsonl").write_bytes(corpus_file.read_bytes())
+        config = sub / "run.json"
+        config.write_text(json.dumps({"corpus": "a.jsonl", "mode": "mono", "seed": 5, "output_dir": "out",
+                                      "fractions": [0.5], "baseline": {"epochs": 1}}))
+        monkeypatch.chdir(tmp_path)
+        cfg = load_config("sub/run.json")
+        assert (cfg.corpus, cfg.output_dir) == (Path("sub/a.jsonl"), Path("sub/out"))
+        cfg = load_config("sub/run.json", {"corpus": "sub/a.jsonl", "output_dir": "o2"})
+        assert (cfg.corpus, cfg.output_dir) == (Path("sub/a.jsonl"), Path("o2"))
+
+        flags = ["--corpus", "sub/a.jsonl", "--output-dir", "o2"]
+        assert main(["train", "--config", "sub/run.json", "--method", "baseline", *flags]) == 0
+        assert (tmp_path / "o2" / "baseline.model.json").exists()
+        assert not (sub / "o2").exists()
 
     def test_bad_fraction(self, tmp_path, config_file):
         raw = json.loads(config_file.read_text())
@@ -122,6 +158,17 @@ class TestConfig:
             load_config(bad)
         assert main(["experiment", "--config", str(bad)]) == 1
         assert not (tmp_path / "out").exists()
+
+
+    @pytest.mark.parametrize("key, value", [("corpus", 5), ("output_dir", None), ("output_dir", ["out"])])
+    def test_non_string_path_fails_before_compute(self, tmp_path, config_file, key, value):
+        raw = json.loads(config_file.read_text())
+        raw[key] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError, match=key):
+            load_config(bad)
+        assert main(["experiment", "--config", str(bad)]) == 1
 
 
 class TestConvert:
@@ -234,6 +281,37 @@ class TestTrainEvaluateTrace:
         model = tmp_path / "out" / "stc.model.json"
         assert main(["evaluate", "--config", str(config_file), "--model", str(model), "--mode", "multi"]) == 1
         assert not (tmp_path / "out" / "metrics_stc.json").exists()
+
+    @pytest.mark.parametrize("method", ["baseline", "stc"])
+    def test_evaluate_rejects_model_of_other_categories(self, config_file, tmp_path, capsys, method):
+        spec = synthetic.SyntheticSpec(
+            n_categories=3, docs_per_class=10, sentences_per_doc=3,
+            keyword_positions=(1, 2), noise_vocab_size=8, seed=4,
+        )
+        docs = synthetic.generate(spec)
+        trained = tmp_path / "three.jsonl"
+        save_jsonl(docs, trained)
+        first = min(label for d in docs for label in d.labels)
+        renamed = tmp_path / "renamed.jsonl"
+        # The same documents and words; only the sorted category order moves.
+        renamed.write_text(
+            "".join(
+                json.dumps({**record, "labels": ["zzz" if label == first else label for label in record["labels"]]})
+                + "\n"
+                for record in map(json.loads, trained.read_text().splitlines())
+            ),
+            encoding="utf-8",
+        )
+        assert main(["train", "--config", str(config_file), "--method", method, "--corpus", str(trained)]) == 0
+        model = tmp_path / "out" / f"{method}.model.json"
+        capsys.readouterr()
+
+        assert main(["evaluate", "--config", str(config_file), "--model", str(model), "--corpus", str(renamed)]) == 1
+        err = capsys.readouterr().err
+        names = sorted({label for d in docs for label in d.labels})
+        assert str(names) in err and str(sorted([*names[1:], "zzz"])) in err
+        assert not (tmp_path / "out" / f"metrics_{method}.json").exists()
+        assert main(["evaluate", "--config", str(config_file), "--model", str(model), "--corpus", str(trained)]) == 0
 
     def test_trace_unknown_doc_id(self, config_file, corpus_file, tmp_path):
         assert main(["train", "--config", str(config_file), "--method", "stc"]) == 0

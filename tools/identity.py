@@ -13,7 +13,14 @@ whether a change kept every output bit. Per seed it digests:
   acceptance criterion 8's corpus and split, with the library's default
   rollout settings and rollout seed = the seed;
 - ``grid-r8like``: the four report files of the benchmark's
-  ``stc experiment`` workload.
+  ``stc experiment`` workload;
+- ``cli``: the files that ``stc train --method stc`` (model, telemetry),
+  ``stc train --method baseline`` (model) and ``stc evaluate`` of each
+  model (metrics) write, and the stdout of one ``stc trace``, for a
+  config that sets only the required keys plus ``stc.n_states`` and
+  ``stc.iterations``, so every other setting takes its default. It runs
+  in the run directory with relative paths, so the corpus path each
+  model records does not depend on where the directory is.
 
 BLAS threads are pinned to 1, as in the benchmark.
 """
@@ -23,6 +30,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import io
 import json
 import os
 import sys
@@ -89,6 +97,39 @@ def _grid(workload, seed: int, run_dir: Path) -> dict[str, str]:
     return {name: _sha((grid.out_dir / name).read_bytes()) for name in grid.report_files}
 
 
+def _cli(seed: int, run_dir: Path) -> dict[str, str]:
+    from stc import cli, corpus, synthetic
+
+    spec = synthetic.SyntheticSpec(
+        n_categories=4, docs_per_class=200, sentences_per_doc=6, keyword_positions=(1, 2, 3), noise_vocab_size=40, seed=5
+    )
+    raw = synthetic.generate(spec)
+    config = {
+        "corpus": "corpus.jsonl",
+        "mode": "mono",
+        "seed": seed,
+        "output_dir": "out",
+        "stc": {"n_states": 300, "iterations": 2},
+    }
+    with contextlib.chdir(run_dir):
+        corpus.save_jsonl(raw, "corpus.jsonl")
+        Path("run.json").write_text(json.dumps(config), encoding="utf-8")
+        for argv in (
+            ["train", "--config", "run.json", "--method", "stc"],
+            ["train", "--config", "run.json", "--method", "baseline"],
+            ["evaluate", "--config", "run.json", "--model", "out/stc.model.json"],
+            ["evaluate", "--config", "run.json", "--model", "out/baseline.model.json"],
+            ["trace", "--model", "out/stc.model.json", "--corpus", "corpus.jsonl", "--doc-id", raw[0].id],
+        ):
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                if cli.main(argv) != 0:
+                    raise SystemExit(f"identity: stc {' '.join(argv)} failed at seed {seed}")
+        names = ("stc.model.json", "telemetry.jsonl", "baseline.model.json", "metrics_stc.json", "metrics_baseline.json")
+        digests = {name: _sha(Path("out", name).read_bytes()) for name in names}
+    return {**digests, "trace": _sha(stdout.getvalue().encode())}  # the last command's stdout
+
+
 def _seeds(text: str) -> list[int]:
     lo, _, hi = text.partition("-")
     return list(range(int(lo), int(hi or lo) + 1))
@@ -106,14 +147,15 @@ def main(argv=None) -> int:
 
     for seed in _seeds(args.seeds):
         with tempfile.TemporaryDirectory() as tmp:
-            mono_dir, grid_dir = Path(tmp, "mono"), Path(tmp, "grid")
-            mono_dir.mkdir()
-            grid_dir.mkdir()
+            mono_dir, grid_dir, cli_dir = Path(tmp, "mono"), Path(tmp, "grid"), Path(tmp, "cli")
+            for run_dir in (mono_dir, grid_dir, cli_dir):
+                run_dir.mkdir()
             record = {
                 "seed": seed,
                 "train-mono": _train_mono(workload, seed, mono_dir),
                 "multi": _multi(seed),
                 "grid-r8like": _grid(workload, seed, grid_dir),
+                "cli": _cli(seed, cli_dir),
             }
         print(json.dumps(record, sort_keys=True), flush=True)
     return 0
