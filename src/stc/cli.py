@@ -86,11 +86,11 @@ def _check_split(fraction: float, run: int) -> None:
         raise ConfigError(f"run must be a non-negative split index, got {run}")
 
 
-def _prepare(cfg: RunConfig, fraction: float, run: int):
+def _split(cfg: RunConfig, fraction: float, run: int):
+    """The corpus, its categories and the split of (fraction, run)."""
     raw_docs = _load_corpus(cfg.corpus)
     categories = CategorySet.from_documents(raw_docs)
-    split = corpus_mod.make_splits(raw_docs, fraction, run + 1, cfg.plan.seed)[run]
-    return (categories, *corpus_mod.prepare_split(raw_docs, categories, split, cfg.plan.mode))
+    return raw_docs, categories, corpus_mod.make_splits(raw_docs, fraction, run + 1, cfg.plan.seed)[run]
 
 
 def cmd_train(args) -> int:
@@ -99,7 +99,8 @@ def cmd_train(args) -> int:
     fraction = args.fraction if args.fraction is not None else plan.fractions[0]
     run = args.run
     _check_split(fraction, run)
-    categories, vocab, train_docs, _ = _prepare(cfg, fraction, run)
+    raw_docs, categories, split = _split(cfg, fraction, run)
+    vocab, train_docs, _ = corpus_mod.prepare_split(raw_docs, categories, split, plan.mode)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     metadata = {
         "corpus": str(cfg.corpus),
@@ -151,7 +152,9 @@ def cmd_evaluate(args) -> int:
     fraction = args.fraction if args.fraction is not None else record["metadata"]["fraction"]
     run = args.run if args.run is not None else record["metadata"]["run"]
     _check_split(fraction, run)
-    categories, vocab, _, test_docs = _prepare(cfg, fraction, run)
+    raw_docs, categories, split = _split(cfg, fraction, run)
+    train_raw, test_raw = corpus_mod.split_sides(raw_docs, split)
+    vocab = corpus_mod.build_vocabulary(train_raw)
     if list(categories.names) != record["categories"]:
         _eprint(
             f"evaluate: the model was trained for categories {record['categories']}, "
@@ -159,9 +162,9 @@ def cmd_evaluate(args) -> int:
         )
         return EXIT_VALIDATION
     if vocab.checksum() != record["vocab_checksum"]:
-        raise ValueError(
-            "vocabulary checksum mismatch: the model was trained on a different split or corpus"
-        )
+        _eprint("evaluate: vocabulary checksum mismatch: the model was trained on a different split or corpus")
+        return EXIT_VALIDATION
+    test_docs = corpus_mod.vectorize_corpus(test_raw, vocab, categories, mode)
     n_categories = len(categories)
     if record["kind"] == "policy":
         preds, logs = evaluation.evaluate_policy(Greedy(_policy_q(record, vocab)), test_docs, mode)

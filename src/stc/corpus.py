@@ -47,6 +47,7 @@ __all__ = [
     "build_vocabulary",
     "vectorize_sentence",
     "vectorize_corpus",
+    "split_sides",
     "prepare_split",
     "make_splits",
     "corpus_stats",
@@ -407,6 +408,12 @@ def vectorize_corpus(
     ]
 
 
+def split_sides(raw_docs: list[RawDocument], split: Split) -> tuple[list[RawDocument], list[RawDocument]]:
+    """The split's training and test documents, in the split's id order."""
+    by_id = {d.id: d for d in raw_docs}
+    return [by_id[i] for i in split.train_ids], [by_id[i] for i in split.test_ids]
+
+
 def prepare_split(
     raw_docs: list[RawDocument],
     categories: CategorySet,
@@ -415,9 +422,7 @@ def prepare_split(
 ) -> tuple[Vocabulary, list[Document], list[Document]]:
     """Vocabulary and idf from the split's training side, and the vectors
     of both sides against that vocabulary."""
-    by_id = {d.id: d for d in raw_docs}
-    train_raw = [by_id[i] for i in split.train_ids]
-    test_raw = [by_id[i] for i in split.test_ids]
+    train_raw, test_raw = split_sides(raw_docs, split)
     vocab = build_vocabulary(train_raw)
     train_docs = vectorize_corpus(train_raw, vocab, categories, mode)
     test_docs = vectorize_corpus(test_raw, vocab, categories, mode)

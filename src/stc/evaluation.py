@@ -1,11 +1,14 @@
 """Metrics and the full experiment protocol.
 
 Micro-F1 pools confusion counts over every (document, class) pair; macro-F1
-averages per-class F1 over all configured classes. Reading size is the mean
+averages per-class F1 over all configured classes. Both come from integer
+per-class counts of (n x C) gold and predicted label matrices, through
+``mdp.prf1_from_counts``, the formula ``prf1`` uses. Reading size is the mean
 fraction of sentences read per test document. The experiment driver sweeps
 training fractions and runs, trains both the reading agent and the baseline
 on each split (over small regularization grids), and aggregates per-cell
-results into deterministic report files.
+results into deterministic report files. A split job builds its test side's
+gold label matrix once and scores every cell against it.
 """
 
 from __future__ import annotations
@@ -18,16 +21,17 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import corpus as corpus_mod
-from .baseline import BaselineModel, predict_baseline, train_baseline
+from .baseline import BaselineModel, predict_baseline_matrix, train_baseline
 from .corpus import CategorySet, Document, RawDocument, Split, TaskMode
 from .learn import RolloutConfig, derived_seed, policy_iteration
-from .mdp import EpisodeLog, prf1, run_episode
+from .mdp import EpisodeLog, prf1_from_counts, run_episode
 from .policy import ClassifierConfig, Greedy, policy_callable
 
 __all__ = [
     "Prediction",
     "micro_f1",
     "macro_f1",
+    "f1_scores",
     "reading_size",
     "reading_histogram",
     "evaluate_policy",
@@ -48,21 +52,58 @@ class Prediction:
     y_hat: tuple[int, ...]
 
 
-def micro_f1(preds: list[Prediction]) -> float:
-    """F1 of the confusion counts pooled over every (document, class) pair."""
+def _label_counts(y: np.ndarray, y_hat: np.ndarray) -> tuple[list[int], list[int], list[int]]:
+    """Per-class true positives, predictions and gold labels of two (n x C)
+    0/1 label matrices, as Python ints."""
+    gold, pred = y == 1, y_hat == 1
+    return (
+        np.count_nonzero(gold & pred, axis=0).tolist(),
+        np.count_nonzero(pred, axis=0).tolist(),
+        np.count_nonzero(gold, axis=0).tolist(),
+    )
+
+
+def _micro(counts) -> float:
+    tp, n_pred, n_gold = counts
+    return prf1_from_counts(sum(tp), sum(n_pred), sum(n_gold))[2]
+
+
+def _macro(counts, n_categories: int) -> float:
+    tp, n_pred, n_gold = counts
+    total = 0.0  # summed left to right: np.mean would sum pairwise
+    for k in range(n_categories):
+        total += prf1_from_counts(tp[k], n_pred[k], n_gold[k])[2]
+    return total / n_categories
+
+
+def _label_matrix(rows, n_categories: int) -> np.ndarray:
+    return np.array(rows, dtype=np.int8).reshape(len(rows), n_categories)
+
+
+def _prediction_counts(preds: list[Prediction]) -> tuple[list[int], list[int], list[int]]:
     if not preds:
         raise ValueError("no predictions")
-    return prf1([v for p in preds for v in p.y], [v for p in preds for v in p.y_hat])[2]
+    return _label_counts(np.array([p.y for p in preds]), np.array([p.y_hat for p in preds]))
+
+
+def f1_scores(y: np.ndarray, y_hat: np.ndarray) -> tuple[float, float]:
+    """Micro- and macro-F1 of (n x C) gold and predicted 0/1 label matrices."""
+    if not len(y) or not len(y_hat):
+        raise ValueError("no predictions")
+    if y.shape != y_hat.shape:
+        raise ValueError(f"label matrices differ in shape: {y.shape} vs {y_hat.shape}")
+    counts = _label_counts(y, y_hat)
+    return _micro(counts), _macro(counts, y.shape[1])
+
+
+def micro_f1(preds: list[Prediction]) -> float:
+    """F1 of the confusion counts pooled over every (document, class) pair."""
+    return _micro(_prediction_counts(preds))
 
 
 def macro_f1(preds: list[Prediction], n_categories: int) -> float:
     """Unweighted mean of per-class F1 over all configured classes."""
-    if not preds:
-        raise ValueError("no predictions")
-    total = 0.0  # summed left to right: np.mean would sum pairwise
-    for k in range(n_categories):
-        total += prf1([p.y[k] for p in preds], [p.y_hat[k] for p in preds])[2]
-    return total / n_categories
+    return _macro(_prediction_counts(preds), n_categories)
 
 
 def reading_size(logs: list[EpisodeLog]) -> float:
@@ -92,16 +133,15 @@ def evaluate_policy(
     logs: list[EpisodeLog] = []
     for doc in docs:
         log = run_episode(doc, step, mode)
-        preds.append(Prediction(doc.id, tuple(int(v) for v in doc.y), log.final_assigned))
+        preds.append(Prediction(doc.id, tuple(doc.y.tolist()), log.final_assigned))
         logs.append(log)
     return preds, logs
 
 
 def evaluate_baseline(model: BaselineModel, docs: list[Document]) -> list[Prediction]:
-    """The baseline's prediction for each document, one document at a time."""
-    return [
-        Prediction(d.id, tuple(int(v) for v in d.y), tuple(int(v) for v in predict_baseline(model, d))) for d in docs
-    ]
+    """The baseline's prediction for each document."""
+    y_hat = predict_baseline_matrix(model, docs).tolist()
+    return [Prediction(d.id, tuple(d.y.tolist()), tuple(row)) for d, row in zip(docs, y_hat)]
 
 
 # ---------------------------------------------------------------------------
@@ -196,6 +236,7 @@ def _run_split_job(job: tuple[Split, int]) -> tuple[list[CellResult], dict[float
         return cells, logs_by_lambda
 
     n_categories = len(categories)
+    gold = _label_matrix([d.y for d in test_docs], n_categories)
     for lam_index, lam in enumerate(plan.baseline_lambda_grid):
         cell = CellResult("baseline", fraction, run, lam)
         try:
@@ -205,9 +246,7 @@ def _run_split_job(job: tuple[Split, int]) -> tuple[list[CellResult], dict[float
                 seed=derived_seed(plan.seed, 1, fraction_index, run, lam_index),
             )
             model = train_baseline(train_docs, cfg, plan.mode)
-            preds = evaluate_baseline(model, test_docs)
-            cell.micro_f1 = micro_f1(preds)
-            cell.macro_f1 = macro_f1(preds, n_categories)
+            cell.micro_f1, cell.macro_f1 = f1_scores(gold, predict_baseline_matrix(model, test_docs))
         except Exception as exc:  # noqa: BLE001
             cell.error = str(exc)
         cells.append(cell)
@@ -222,9 +261,9 @@ def _run_split_job(job: tuple[Split, int]) -> tuple[list[CellResult], dict[float
                 seed=derived_seed(plan.seed, 2, fraction_index, run, lam_index),
             )
             result = policy_iteration(train_docs, plan.mode, rollout_cfg)
-            preds, logs = evaluate_policy(Greedy(result.q), test_docs, plan.mode)
-            cell.micro_f1 = micro_f1(preds)
-            cell.macro_f1 = macro_f1(preds, n_categories)
+            _, logs = evaluate_policy(Greedy(result.q), test_docs, plan.mode)
+            y_hat = _label_matrix([log.final_assigned for log in logs], n_categories)
+            cell.micro_f1, cell.macro_f1 = f1_scores(gold, y_hat)
             cell.reading_size = reading_size(logs)
             if plan.histogram_fraction is not None and fraction == plan.histogram_fraction:
                 logs_by_lambda[lam] = logs

@@ -11,21 +11,33 @@ In mono-label mode assigning a label restricts the remaining action set
 to {stop}, so an episode carries at most one assignment and its reward is
 the 0/1 accuracy of that choice.
 
-``walk`` is the one episode loop: it follows a policy from any state to
-the halting state, and episodes, state sampling, rollouts and traces
-all read their trajectories from it.
+``steps`` is the one episode loop: it follows a policy from any state to
+the halting state. ``walk`` collects its states and actions, and
+episodes, state sampling, rollouts and traces all read their
+trajectories from it; a rollout that needs only the final assignment
+keeps nothing else.
+
+The hot path builds no per-step objects: ``classify(k)`` returns one
+interned action per k, and ``available_actions`` returns one interned
+tuple per (mono lock, assigned, next legal). A ``LegalPolicy`` promises
+to pick from that tuple, so ``steps`` applies its choices without
+``transition``'s legality check and builds each successor without
+``MdpState``'s cursor check; any other callable's choice is checked.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
+
+import numpy as np
 
 from .corpus import Document, MONO_LABEL, TaskMode
 
 __all__ = [
     "Action",
     "MdpState",
+    "LegalPolicy",
     "EpisodeLog",
     "NEXT",
     "STOP",
@@ -35,7 +47,9 @@ __all__ = [
     "transition",
     "is_terminal",
     "prf1",
+    "prf1_from_counts",
     "reward",
+    "steps",
     "walk",
     "run_episode",
     "max_episode_steps",
@@ -67,8 +81,15 @@ NEXT = Action("next")
 STOP = Action("stop")
 
 
+_CLASSIFY: dict[int, Action] = {}
+
+
 def classify(category: int) -> Action:
-    return Action("classify", category)
+    """The classify action of ``category``, one interned object per index."""
+    action = _CLASSIFY.get(category)
+    if action is None:
+        action = _CLASSIFY[category] = Action("classify", category)
+    return action
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,6 +102,47 @@ class MdpState:
     def __post_init__(self):
         if not 1 <= self.p <= self.doc.n_sentences:
             raise ValueError(f"cursor {self.p} outside 1..{self.doc.n_sentences}")
+
+
+_new_state = object.__new__
+_set_doc, _set_p = MdpState.doc.__set__, MdpState.p.__set__
+_set_assigned, _set_halted = MdpState.assigned.__set__, MdpState.halted.__set__
+
+
+def _successor(state: MdpState, action: Action) -> MdpState:
+    """The state a legal action leads to, built without the cursor check:
+    a legal next keeps the cursor within the document."""
+    successor = _new_state(MdpState)
+    _set_doc(successor, state.doc)
+    if action.kind == "classify":
+        assigned = list(state.assigned)
+        assigned[action.category] = 1
+        _set_assigned(successor, tuple(assigned))
+    else:
+        _set_assigned(successor, state.assigned)
+    _set_p(successor, state.p + 1 if action.kind == "next" else state.p)
+    _set_halted(successor, action.kind == "stop")
+    return successor
+
+
+class LegalPolicy:
+    """A policy callable whose every choice is an action of
+    ``available_actions(state, mode)`` for its ``mode``.
+
+    ``steps`` applies its choices unchecked when it walks under that
+    mode. The built-in policies come wrapped in one
+    (``policy.policy_callable``); any other callable, or a walk under
+    another mode, is checked step by step.
+    """
+
+    __slots__ = ("choose", "mode")
+
+    def __init__(self, choose: Callable[[MdpState], Action], mode: TaskMode):
+        self.choose = choose
+        self.mode = mode
+
+    def __call__(self, state: MdpState) -> Action:
+        return self.choose(state)
 
 
 @dataclass(frozen=True)
@@ -107,20 +169,27 @@ def initial_state(doc: Document) -> MdpState:
     return MdpState(doc=doc, p=1, assigned=(0,) * len(doc.y), halted=False)
 
 
-def available_actions(state: MdpState, mode: TaskMode) -> list[Action]:
+_STOP_ONLY = (STOP,)
+# Legal-action tuples by (assigned, next legal), built on first use.
+_LEGAL: dict[tuple[tuple[int, ...], bool], tuple[Action, ...]] = {}
+
+
+def available_actions(state: MdpState, mode: TaskMode) -> tuple[Action, ...]:
     """Legal actions, in the fixed order classify(0..C-1), next, stop.
 
     Mono-label mode: once a label is assigned only stop remains. Next is
-    unavailable on the last sentence in both modes.
+    unavailable on the last sentence in both modes. The tuple is interned:
+    states with the same mono lock, assignment and next legality share it.
     """
     if state.halted:
         raise ValueError("no actions are available in a halted state")
     if mode == MONO_LABEL and any(state.assigned):
-        return [STOP]
-    actions = [classify(k) for k, taken in enumerate(state.assigned) if not taken]
-    if state.p < state.doc.n_sentences:
-        actions.append(NEXT)
-    actions.append(STOP)
+        return _STOP_ONLY
+    key = (state.assigned, state.p < len(state.doc.sentence_vectors))
+    actions = _LEGAL.get(key)
+    if actions is None:
+        unassigned = [classify(k) for k, taken in enumerate(state.assigned) if not taken]
+        actions = _LEGAL[key] = (*unassigned, *((NEXT,) if key[1] else ()), STOP)
     return actions
 
 
@@ -137,16 +206,11 @@ def _is_legal(state: MdpState, action: Action, mode: TaskMode) -> bool:
 
 
 def transition(state: MdpState, action: Action, mode: TaskMode) -> MdpState:
-    """Apply one action, returning a fresh state (inputs are untouched)."""
+    """Apply one action, returning a fresh state (inputs are untouched).
+    An illegal action raises."""
     if not _is_legal(state, action, mode):
         raise ValueError(f"action {action} is illegal in state (p={state.p}, assigned={state.assigned})")
-    if action.kind == "classify":
-        assigned = list(state.assigned)
-        assigned[action.category] = 1
-        return MdpState(state.doc, state.p, tuple(assigned), False)
-    if action.kind == "next":
-        return MdpState(state.doc, state.p + 1, state.assigned, False)
-    return MdpState(state.doc, state.p, state.assigned, True)
+    return _successor(state, action)
 
 
 def is_terminal(state: MdpState) -> bool:
@@ -163,6 +227,8 @@ def prf1(y: Sequence[int], y_hat: Sequence[int]) -> tuple[float, float, float]:
     """
     if len(y) != len(y_hat):
         raise ValueError(f"label vectors differ in length: {len(y)} vs {len(y_hat)}")
+    if isinstance(y, np.ndarray):
+        y = y.tolist()  # Python ints compare faster than numpy scalars
     tp = n_pred = n_gold = 0
     for gold, pred in zip(y, y_hat):
         if pred == 1:
@@ -171,6 +237,12 @@ def prf1(y: Sequence[int], y_hat: Sequence[int]) -> tuple[float, float, float]:
                 tp += 1
         if gold == 1:
             n_gold += 1
+    return prf1_from_counts(tp, n_pred, n_gold)
+
+
+def prf1_from_counts(tp: int, n_pred: int, n_gold: int) -> tuple[float, float, float]:
+    """Precision, recall and F1 of integer confusion counts: the formula
+    of ``prf1``, for callers that count elsewhere."""
     p = tp / n_pred if n_pred else 0.0
     r = tp / n_gold if n_gold else 0.0
     f1 = 2.0 * p * r / (p + r) if p + r > 0.0 else 0.0
@@ -190,30 +262,50 @@ def max_episode_steps(doc: Document, n_categories: int) -> int:
     return doc.n_sentences + n_categories + 1
 
 
+def steps(
+    state: MdpState,
+    policy: Callable[[MdpState], Action],
+    mode: TaskMode,
+) -> Iterator[tuple[Action, MdpState]]:
+    """Follow ``policy`` from ``state`` until the episode halts, yielding
+    each action and the state it leads to.
+
+    The policy must return a legal action for every live state it sees.
+    A ``LegalPolicy`` of ``mode`` has its choices applied unchecked; any
+    other callable's illegal choice raises. Termination is guaranteed within
+    n(doc) + C + 1 steps because every action strictly consumes a finite
+    resource (sentences, unassigned categories, or the episode itself).
+    """
+    if isinstance(policy, LegalPolicy) and policy.mode == mode:
+        choose, apply = policy.choose, _successor
+    else:
+        choose, apply = policy, lambda s, a: transition(s, a, mode)
+    step_budget = max_episode_steps(state.doc, len(state.assigned))
+    taken = 0
+    while not state.halted:  # terminal <=> halted
+        if taken >= step_budget:
+            raise RuntimeError(f"episode on {state.doc.id!r} exceeded its step budget")
+        action = choose(state)
+        state = apply(state, action)
+        taken += 1
+        yield action, state
+
+
 def walk(
     state: MdpState,
     policy: Callable[[MdpState], Action],
     mode: TaskMode,
 ) -> tuple[list[MdpState], list[Action]]:
-    """Follow ``policy`` from ``state`` until the episode halts.
+    """The episode of ``policy`` from ``state``, as ``steps`` follows it.
 
     Returns the visited states, ``state`` first and the halted state last,
-    and the actions taken between them. The policy must return a legal
-    action for every live state it sees; an illegal choice raises.
-    Termination is guaranteed within n(doc) + C + 1 steps because every
-    action strictly consumes a finite resource (sentences, unassigned
-    categories, or the episode itself).
+    and the actions taken between them.
     """
     states = [state]
     actions: list[Action] = []
-    step_budget = max_episode_steps(state.doc, len(state.assigned))
-    while not is_terminal(state):
-        if len(actions) >= step_budget:
-            raise RuntimeError(f"episode on {state.doc.id!r} exceeded its step budget")
-        action = policy(state)
-        state = transition(state, action, mode)
-        states.append(state)
+    for action, state in steps(state, policy, mode):
         actions.append(action)
+        states.append(state)
     return states, actions
 
 

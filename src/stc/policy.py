@@ -3,14 +3,18 @@
 The action scorer is a single weight vector over the block state-action
 feature space; the greedy policy takes the argmax of the scores of the
 legal actions, breaking exact ties toward the fixed action ordering; a
-step with one legal action is taken without scoring. A scorer reads each
-step's scores from its document's rows of the mean and last-sentence
-parts (``features.ScoreRows``), grown on demand up to the step's cursor,
-plus the assigned-label part of the state. Its theta is a private,
-read-only copy, so rows grown at different times share one theta. A
-greedy policy draws no randomness, so its episodes and state values are
-fixed; it carries dicts where ``learn`` keeps them for the one round the
-policy drives.
+step with one legal action is taken without scoring, and a uniform-random
+step with one legal action draws nothing (``Generator.integers(1)`` would
+consume no state either). A scorer reads each step's scores from its
+document's rows of the mean and last-sentence parts
+(``features.ScoreRows``), grown on demand up to the step's cursor, plus
+the assigned-label part of the state. The greedy choice adds that part
+only when some label is assigned: with none, it is a sum of ±0 terms,
+and adding ±0 changes no comparison. ``block_scores``, ``q_value`` and
+``action_scores`` always add it. Its theta is a private, read-only copy,
+so rows grown at different times share one theta. A greedy policy draws
+no randomness, so its episodes and state values are fixed; it carries
+dicts where ``learn`` keeps them for the one round the policy drives.
 
 The classifier minimizes an L2-regularized hinge loss by stochastic
 subgradient descent with step size 1/(lambda*t). Its weight vector is
@@ -28,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from . import features
-from .mdp import Action, MdpState, available_actions
+from .mdp import Action, LegalPolicy, MdpState, available_actions
 from .sparse import SparseVector
 
 __all__ = [
@@ -73,15 +77,22 @@ class LinearQ:
     def blocks(self) -> np.ndarray:
         return self.theta.reshape(features.n_action_blocks(self.n_categories), self.state_dim)
 
+    def score_rows(self, doc) -> features.ScoreRows:
+        """The document's score rows, without the assigned block."""
+        rows = self._tables.get(doc)
+        if rows is None:
+            rows = self._tables[doc] = features.ScoreRows(doc, self.blocks())
+        return rows
+
+    def assigned_scores(self, assigned) -> np.ndarray:
+        """The assigned-label part of every block's score."""
+        return self.blocks()[:, self.state_dim - self.n_categories :] @ assigned
+
     def block_scores(self, state: MdpState) -> np.ndarray:
         """Scores of all C + 2 action blocks in a live state."""
         if state.halted:
             raise ValueError("halted states have no action scores")
-        blocks = self.blocks()
-        rows = self._tables.get(state.doc)
-        if rows is None:
-            rows = self._tables[state.doc] = features.ScoreRows(state.doc, blocks)
-        return rows.row(state.p) + blocks[:, self.state_dim - self.n_categories :] @ state.assigned
+        return self.score_rows(state.doc).row(state.p) + self.assigned_scores(state.assigned)
 
     @staticmethod
     def zeros(n_categories: int, state_dim: int) -> "LinearQ":
@@ -139,15 +150,21 @@ def select_action(
 ) -> Action:
     """Greedy argmax (first maximum wins on ties) or uniform choice.
 
-    A greedy step with one legal action takes it without scoring it. A
-    uniform-random policy draws from ``rng``, which it requires.
+    A greedy step with one legal action takes it without scoring it, and
+    adds the assigned-label part to the scores only when some label is
+    assigned. A uniform-random policy draws from ``rng``, which it
+    requires, and draws nothing when one action is legal.
     """
     actions = available_actions(state, mode)
     if isinstance(policy, Greedy):
         if len(actions) == 1:
             return actions[0]
-        scores = policy.q.block_scores(state).tolist()
-        n_categories = policy.q.n_categories
+        q = policy.q
+        scores = q.score_rows(state.doc).row(state.p)
+        if any(state.assigned):
+            scores = scores + q.assigned_scores(state.assigned)
+        scores = scores.tolist()
+        n_categories = q.n_categories
         best, best_score = actions[0], scores[features.action_block(actions[0], n_categories)]
         for action in actions[1:]:
             score = scores[features.action_block(action, n_categories)]
@@ -156,12 +173,16 @@ def select_action(
         return best
     if rng is None:
         raise ValueError("a uniform-random policy needs an rng")
+    if len(actions) == 1:
+        return actions[0]
     return actions[int(rng.integers(len(actions)))]
 
 
-def policy_callable(policy: Policy, mode: str, rng: np.random.Generator | None = None):
-    """Adapt a policy value to the bare state -> action callable episodes use."""
-    return lambda state: select_action(policy, state, mode, rng)
+def policy_callable(policy: Policy, mode: str, rng: np.random.Generator | None = None) -> LegalPolicy:
+    """Adapt a policy value to the state -> action callable episodes use.
+    Its choices come from ``available_actions(state, mode)``, so an episode
+    walked under ``mode`` applies them unchecked."""
+    return LegalPolicy(lambda state: select_action(policy, state, mode, rng), mode)
 
 
 Example = tuple[SparseVector, int] | tuple[SparseVector, int, int]

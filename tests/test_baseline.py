@@ -4,7 +4,7 @@ import pytest
 from conftest import make_doc, sparse
 from stc import corpus as corpus_mod
 from stc import synthetic
-from stc.baseline import BaselineModel, predict_baseline, train_baseline
+from stc.baseline import BaselineModel, predict_baseline, predict_baseline_matrix, train_baseline
 from stc.corpus import MONO_LABEL, MULTI_LABEL, CategorySet
 from stc.policy import ClassifierConfig
 
@@ -64,6 +64,48 @@ class TestPredict:
         doc = _doc_with_global([1.0, 0.0], [1, 0])
         with pytest.raises(ValueError):
             predict_baseline(model, doc)
+
+
+def _one_document_prediction(model, doc):
+    """The per-document prediction the matrix rows must reproduce."""
+    x = doc.global_vector
+    scores = model.weights[:, x.indices] @ x.values
+    y_hat = np.zeros(model.weights.shape[0], dtype=np.int8)
+    if model.mode == MONO_LABEL:
+        y_hat[int(np.argmax(scores))] = 1
+    else:
+        y_hat[scores > 0.0] = 1
+        if not y_hat.any():
+            y_hat[int(np.argmax(scores))] = 1
+    return y_hat
+
+
+class TestPredictMatrix:
+    @pytest.mark.parametrize("mode", [MONO_LABEL, MULTI_LABEL])
+    def test_rows_match_one_document_predictions(self, mode):
+        rng = np.random.default_rng(12)
+        for trial in range(40):
+            n_cats = int(rng.integers(2, 9))
+            weights = rng.standard_normal((n_cats, 6)) - (0.8 if trial % 2 else 0.0)
+            if trial % 5 == 0:
+                weights[1] = weights[0]  # exact ties
+            docs = [_doc_with_global(rng.random(6) * (rng.random(6) < 0.6), [1] + [0] * (n_cats - 1)) for _ in range(12)]
+            docs.append(_doc_with_global(np.zeros(6), [1] + [0] * (n_cats - 1)))  # empty document
+            model = _model(weights, mode)
+            matrix = predict_baseline_matrix(model, docs)
+            assert matrix.dtype == np.int8 and matrix.shape == (len(docs), n_cats)
+            for row, doc in zip(matrix, docs):
+                assert row.tolist() == _one_document_prediction(model, doc).tolist()
+                assert predict_baseline(model, doc).tolist() == row.tolist()
+
+    def test_no_documents(self):
+        assert predict_baseline_matrix(_model([[0.1, 0.2]] * 3, MULTI_LABEL), []).shape == (0, 3)
+
+    def test_dimension_mismatch_rejected(self):
+        model = _model([[0.1, 0.2, 0.3]] * 2, MONO_LABEL)
+        docs = [_doc_with_global([1.0, 0.0, 0.0], [1, 0]), _doc_with_global([1.0, 0.0], [1, 0])]
+        with pytest.raises(ValueError, match="does not match"):
+            predict_baseline_matrix(model, docs)
 
 
 class TestTrain:

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from stc import corpus as corpus_mod
 from stc import synthetic
 from stc.cli import main
 from stc.config import ConfigError, load_config
@@ -274,7 +275,31 @@ class TestTrainEvaluateTrace:
         record = json.loads(model.read_text())
         record["vocab_checksum"] = "0" * 64
         model.write_text(json.dumps(record))
-        assert main(["evaluate", "--config", str(config_file), "--model", str(model)]) == 2
+        assert main(["evaluate", "--config", str(config_file), "--model", str(model)]) == 1
+        assert not (tmp_path / "out" / "metrics_baseline.json").exists()
+
+    @pytest.mark.parametrize("checksum_matches", [True, False])
+    def test_evaluate_checks_the_model_before_it_vectorizes_the_test_side(
+        self, config_file, tmp_path, monkeypatch, checksum_matches
+    ):
+        assert main(["train", "--config", str(config_file), "--method", "baseline"]) == 0
+        model = tmp_path / "out" / "baseline.model.json"
+        if not checksum_matches:
+            record = json.loads(model.read_text())
+            record["vocab_checksum"] = "0" * 64
+            model.write_text(json.dumps(record))
+        sides = []
+        real = corpus_mod.vectorize_corpus
+
+        def counting(raw_docs, *args):
+            sides.append(len(raw_docs))
+            return real(raw_docs, *args)
+
+        monkeypatch.setattr(corpus_mod, "vectorize_corpus", counting)
+        assert main(["evaluate", "--config", str(config_file), "--model", str(model)]) == (0 if checksum_matches else 1)
+        # 30 documents at fraction 0.5: only the 15 of the test side, and
+        # only once the model has passed its checks.
+        assert sides == ([15] if checksum_matches else [])
 
     def test_evaluate_rejects_model_of_another_mode(self, config_file, tmp_path):
         assert main(["train", "--config", str(config_file), "--method", "stc"]) == 0

@@ -10,6 +10,7 @@ from stc.corpus import MONO_LABEL, Split
 from stc.evaluation import (
     ExperimentPlan,
     Prediction,
+    f1_scores,
     macro_f1,
     micro_f1,
     reading_histogram,
@@ -18,7 +19,7 @@ from stc.evaluation import (
     write_report_files,
 )
 from stc.learn import RolloutConfig
-from stc.mdp import EpisodeLog, NEXT, STOP, classify, run_episode
+from stc.mdp import EpisodeLog, NEXT, STOP, classify, prf1, run_episode
 from stc.policy import ClassifierConfig
 
 # Hand-pooled confusion fixtures: (pairs, micro, macro over C classes).
@@ -104,6 +105,39 @@ class TestMetrics:
                 pairs.append((y if sum(y) else (1, 0, 0), y_hat))
             assert 0.0 <= micro_f1(_preds(pairs)) <= 1.0
             assert 0.0 <= macro_f1(_preds(pairs), 3) <= 1.0
+
+
+class TestLabelMatrices:
+    """``f1_scores`` against F1 taken with ``prf1`` over flattened and
+    per-class label lists, bit for bit."""
+
+    @staticmethod
+    def _reference(y, y_hat):
+        micro = prf1(y.ravel().tolist(), y_hat.ravel().tolist())[2]
+        total = 0.0
+        for k in range(y.shape[1]):
+            total += prf1(y[:, k].tolist(), y_hat[:, k].tolist())[2]
+        return micro, total / y.shape[1]
+
+    def test_matches_prf1_on_random_matrices(self):
+        rng = np.random.default_rng(6)
+        for trial in range(300):
+            n, n_cats = int(rng.integers(1, 40)), int(rng.integers(1, 9))
+            y = (rng.random((n, n_cats)) < 0.3).astype(np.int8)
+            if trial % 2:  # mono-label rows
+                y = np.eye(n_cats, dtype=np.int8)[rng.integers(n_cats, size=n)]
+            y_hat = (rng.random((n, n_cats)) < 0.3).astype(np.int8)
+            micro, macro = f1_scores(y, y_hat)
+            assert type(micro) is float and type(macro) is float
+            assert (micro.hex(), macro.hex()) == tuple(v.hex() for v in self._reference(y, y_hat))
+            preds = [Prediction(f"d{i}", tuple(a), tuple(b)) for i, (a, b) in enumerate(zip(y.tolist(), y_hat.tolist()))]
+            assert (micro_f1(preds).hex(), macro_f1(preds, n_cats).hex()) == (micro.hex(), macro.hex())
+
+    def test_rejects_empty_and_mismatched(self):
+        with pytest.raises(ValueError, match="no predictions"):
+            f1_scores(np.zeros((0, 3), dtype=np.int8), np.zeros((0, 3), dtype=np.int8))
+        with pytest.raises(ValueError, match="differ in shape"):
+            f1_scores(np.zeros((2, 3), dtype=np.int8), np.zeros((2, 2), dtype=np.int8))
 
 
 class TestReadingSize:

@@ -73,19 +73,19 @@ class TestStates:
 class TestAvailableActions:
     def test_multilabel_fresh(self, tiny_doc):
         state = initial_state(tiny_doc)
-        assert available_actions(state, MULTI_LABEL) == [classify(0), classify(1), NEXT, STOP]
+        assert available_actions(state, MULTI_LABEL) == (classify(0), classify(1), NEXT, STOP)
 
     def test_monolabel_after_assignment_only_stop(self, tiny_doc):
         state = initial_state(tiny_doc)
         state = transition(state, classify(1), MONO_LABEL)
-        assert available_actions(state, MONO_LABEL) == [STOP]
+        assert available_actions(state, MONO_LABEL) == (STOP,)
 
     def test_multilabel_exhausted(self):
         doc = make_doc(2, [1, 0])
         state = initial_state(doc)
         for action in [classify(0), classify(1), NEXT]:
             state = transition(state, action, MULTI_LABEL)
-        assert available_actions(state, MULTI_LABEL) == [STOP]
+        assert available_actions(state, MULTI_LABEL) == (STOP,)
 
     def test_assigned_category_not_offered_again(self, tiny_doc):
         state = transition(initial_state(tiny_doc), classify(0), MULTI_LABEL)

@@ -167,7 +167,7 @@ class TestSelectAction:
         if mode == MULTI_LABEL:
             state = transition(transition(state, classify(1), mode), NEXT, mode)
             state = transition(state, NEXT, mode)
-        assert available_actions(state, mode) == [STOP]
+        assert available_actions(state, mode) == (STOP,)
         assert select_action(Greedy(q), state, mode) == STOP
         assert q._tables == {}
         select_action(Greedy(q), initial_state(tiny_doc), mode)

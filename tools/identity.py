@@ -14,6 +14,10 @@ whether a change kept every output bit. Per seed it digests:
   rollout settings and rollout seed = the seed;
 - ``grid-r8like``: the four report files of the benchmark's
   ``stc experiment`` workload;
+- ``grid-multi``: the four report files of ``stc experiment`` in
+  multi-label mode on criterion 8's corpus, with a small plan (two
+  fractions x two runs, 300 states x 2 iterations, the default baseline
+  grid), so the multi-label baseline threshold and F1 cells are digested;
 - ``cli``: the files that ``stc train --method stc`` (model, telemetry),
   ``stc train --method baseline`` (model) and ``stc evaluate`` of each
   model (metrics) write, and the stdout of one ``stc trace``, for a
@@ -62,8 +66,8 @@ def _train_mono(workload, seed: int, run_dir: Path) -> dict[str, str]:
     return _learner_digests(out["result"], out["logs"])
 
 
-def _multi(seed: int) -> dict[str, str]:
-    from stc import corpus, evaluation, learn, policy, synthetic
+def _criterion_8_corpus():
+    from stc import synthetic
 
     spec = synthetic.SyntheticSpec(
         n_categories=4,
@@ -74,7 +78,13 @@ def _multi(seed: int) -> dict[str, str]:
         noise_vocab_size=40,
         seed=11,
     )
-    raw = synthetic.generate(spec)
+    return synthetic.generate(spec)
+
+
+def _multi(seed: int) -> dict[str, str]:
+    from stc import corpus, evaluation, learn, policy
+
+    raw = _criterion_8_corpus()
     categories = corpus.CategorySet.from_documents(raw)
     split = corpus.make_splits(raw, 0.5, 1, CRITERION_8_SPLIT_SEED)[0]
     by_id = {d.id: d for d in raw}
@@ -95,6 +105,29 @@ def _grid(workload, seed: int, run_dir: Path) -> dict[str, str]:
     if out["exit"] != 0:
         raise SystemExit(f"identity: stc experiment failed at seed {seed}")
     return {name: _sha((grid.out_dir / name).read_bytes()) for name in grid.report_files}
+
+
+def _grid_multi(seed: int, run_dir: Path) -> dict[str, str]:
+    from stc import cli, corpus
+
+    config = {
+        "corpus": "corpus.jsonl",
+        "mode": "multi",
+        "seed": seed,
+        "output_dir": "out",
+        "fractions": [0.3, 0.5],
+        "n_runs": 2,
+        "stc": {"n_states": 300, "iterations": 2},
+        "histogram": {"fraction": 0.5, "bins": 5},
+    }
+    names = ("cells.csv", "aggregate.csv", "report.json", "reading_histogram.csv")
+    with contextlib.chdir(run_dir):
+        corpus.save_jsonl(_criterion_8_corpus(), "corpus.jsonl")
+        Path("run.json").write_text(json.dumps(config), encoding="utf-8")
+        with contextlib.redirect_stdout(sys.stderr):
+            if cli.main(["experiment", "--config", "run.json"]) != 0:
+                raise SystemExit(f"identity: multi-label stc experiment failed at seed {seed}")
+        return {name: _sha(Path("out", name).read_bytes()) for name in names}
 
 
 def _cli(seed: int, run_dir: Path) -> dict[str, str]:
@@ -147,14 +180,15 @@ def main(argv=None) -> int:
 
     for seed in _seeds(args.seeds):
         with tempfile.TemporaryDirectory() as tmp:
-            mono_dir, grid_dir, cli_dir = Path(tmp, "mono"), Path(tmp, "grid"), Path(tmp, "cli")
-            for run_dir in (mono_dir, grid_dir, cli_dir):
+            mono_dir, grid_dir, multi_dir, cli_dir = (Path(tmp, name) for name in ("mono", "grid", "grid-multi", "cli"))
+            for run_dir in (mono_dir, grid_dir, multi_dir, cli_dir):
                 run_dir.mkdir()
             record = {
                 "seed": seed,
                 "train-mono": _train_mono(workload, seed, mono_dir),
                 "multi": _multi(seed),
                 "grid-r8like": _grid(workload, seed, grid_dir),
+                "grid-multi": _grid_multi(seed, multi_dir),
                 "cli": _cli(seed, cli_dir),
             }
         print(json.dumps(record, sort_keys=True), flush=True)
