@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import corpus as corpus_mod
 from . import evaluation, features, learn
-from .baseline import BaselineModel, train_baseline
+from .baseline import BaselineModel, predict_baseline_matrix, train_baseline
 from .config import ConfigError, RunConfig, load_config
 from .corpus import CategorySet, Vocabulary
 from .mdp import initial_state, prf1, walk
@@ -166,29 +166,19 @@ def cmd_evaluate(args) -> int:
         return EXIT_VALIDATION
     test_docs = corpus_mod.vectorize_corpus(test_raw, vocab, categories, mode)
     n_categories = len(categories)
+    gold = evaluation.label_matrix([d.y for d in test_docs], n_categories)
     if record["kind"] == "policy":
-        preds, logs = evaluation.evaluate_policy(Greedy(_policy_q(record, vocab)), test_docs, mode)
-        metrics = {
-            "method": "stc",
-            "fraction": fraction,
-            "run": run,
-            "micro_f1": evaluation.micro_f1(preds),
-            "macro_f1": evaluation.macro_f1(preds, n_categories),
-            "reading_size": evaluation.reading_size(logs),
-        }
+        _, logs = evaluation.evaluate_policy(Greedy(_policy_q(record, vocab)), test_docs, mode)
+        y_hat = evaluation.label_matrix([log.final_assigned for log in logs], n_categories)
+        metrics = {"method": "stc", "reading_size": evaluation.reading_size(logs)}
     else:
         import numpy as np
 
         weights = np.stack([record["weights"][f"w_{k}"] for k in range(n_categories)])
-        model = BaselineModel(weights=weights, mode=record["mode"])
-        preds = evaluation.evaluate_baseline(model, test_docs)
-        metrics = {
-            "method": "baseline",
-            "fraction": fraction,
-            "run": run,
-            "micro_f1": evaluation.micro_f1(preds),
-            "macro_f1": evaluation.macro_f1(preds, n_categories),
-        }
+        y_hat = predict_baseline_matrix(BaselineModel(weights=weights, mode=record["mode"]), test_docs)
+        metrics = {"method": "baseline"}
+    metrics.update(fraction=fraction, run=run)
+    metrics["micro_f1"], metrics["macro_f1"] = evaluation.f1_scores(gold, y_hat)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     metrics_path = cfg.output_dir / f"metrics_{metrics['method']}.json"
     with open(metrics_path, "w", encoding="utf-8") as fh:

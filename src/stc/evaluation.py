@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import corpus as corpus_mod
-from .baseline import BaselineModel, predict_baseline_matrix, train_baseline
+from .baseline import predict_baseline_matrix, train_baseline
 from .corpus import CategorySet, Document, RawDocument, Split, TaskMode
 from .learn import RolloutConfig, derived_seed, policy_iteration
 from .mdp import EpisodeLog, prf1_from_counts, run_episode
@@ -32,10 +32,10 @@ __all__ = [
     "micro_f1",
     "macro_f1",
     "f1_scores",
+    "label_matrix",
     "reading_size",
     "reading_histogram",
     "evaluate_policy",
-    "evaluate_baseline",
     "ExperimentPlan",
     "CellResult",
     "AggregateRow",
@@ -76,7 +76,8 @@ def _macro(counts, n_categories: int) -> float:
     return total / n_categories
 
 
-def _label_matrix(rows, n_categories: int) -> np.ndarray:
+def label_matrix(rows, n_categories: int) -> np.ndarray:
+    """The (n x C) int8 matrix of n 0/1 label rows, (0 x C) for none."""
     return np.array(rows, dtype=np.int8).reshape(len(rows), n_categories)
 
 
@@ -136,12 +137,6 @@ def evaluate_policy(
         preds.append(Prediction(doc.id, tuple(doc.y.tolist()), log.final_assigned))
         logs.append(log)
     return preds, logs
-
-
-def evaluate_baseline(model: BaselineModel, docs: list[Document]) -> list[Prediction]:
-    """The baseline's prediction for each document."""
-    y_hat = predict_baseline_matrix(model, docs).tolist()
-    return [Prediction(d.id, tuple(d.y.tolist()), tuple(row)) for d, row in zip(docs, y_hat)]
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +231,7 @@ def _run_split_job(job: tuple[Split, int]) -> tuple[list[CellResult], dict[float
         return cells, logs_by_lambda
 
     n_categories = len(categories)
-    gold = _label_matrix([d.y for d in test_docs], n_categories)
+    gold = label_matrix([d.y for d in test_docs], n_categories)
     for lam_index, lam in enumerate(plan.baseline_lambda_grid):
         cell = CellResult("baseline", fraction, run, lam)
         try:
@@ -262,7 +257,7 @@ def _run_split_job(job: tuple[Split, int]) -> tuple[list[CellResult], dict[float
             )
             result = policy_iteration(train_docs, plan.mode, rollout_cfg)
             _, logs = evaluate_policy(Greedy(result.q), test_docs, plan.mode)
-            y_hat = _label_matrix([log.final_assigned for log in logs], n_categories)
+            y_hat = label_matrix([log.final_assigned for log in logs], n_categories)
             cell.micro_f1, cell.macro_f1 = f1_scores(gold, y_hat)
             cell.reading_size = reading_size(logs)
             if plan.histogram_fraction is not None and fraction == plan.histogram_fraction:

@@ -20,10 +20,7 @@ their action's block of theta.
 
 Per-state randomness is drawn from a stream derived from (seed, state
 ordinal), so the sampled workload is independent of scheduling and the
-first n states of a larger budget coincide with a smaller one's. The
-stream of ordinal i is ``np.random.default_rng([seed, i])``; a round
-derives the seed words of all its ordinals in one vectorized pass of
-``SeedSequence``'s mixing and seeds each ``PCG64`` from its words.
+first n states of a larger budget coincide with a smaller one's.
 
 A rollout of the first-round random policy keeps only the final
 assignment of its walk, not the states it passed.
@@ -32,8 +29,6 @@ assignment of its walk, not the states it passed.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-
-from typing import Iterator
 
 import numpy as np
 
@@ -250,7 +245,8 @@ def build_training_set(
     labels: dict[MdpState, tuple[list[Action], list[int]] | None] = {}
     labelled: list[tuple[int, MdpState, tuple[list[Action], list[int]]]] = []
     n_skipped = 0
-    for ordinal, rng in enumerate(_ordinal_rngs(cfg.seed, cfg.n_states)):
+    for ordinal in range(cfg.n_states):
+        rng = np.random.default_rng([cfg.seed, ordinal])
         state = sample_state(train_docs, policy, mode, rng)
         if not (reuse and state in labels):
             labels[state] = _action_labels(state, policy, mode, rng, cfg.rollouts_per_state)
@@ -273,97 +269,6 @@ def mean_episode_reward(docs: list[Document], policy: Policy, mode: TaskMode) ->
     """Mean episode reward of a policy over a document set. A greedy
     policy keeps the episodes, for the next round to sample states from."""
     return float(np.mean([prf1(doc.y, _episode(doc, policy, mode)[-1].assigned)[2] for doc in docs]))
-
-
-# SeedSequence's constants (numpy/random/bit_generator.pyx): the hash
-# multipliers and initial values, the mixer's multipliers, and its pool size.
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_POOL_SIZE = 4
-
-
-def _uint32_words(n: int) -> list[int]:
-    """The 32-bit words SeedSequence reads from a non-negative int, low first."""
-    if n < 0:
-        raise ValueError(f"seed must be non-negative, got {n}")
-    words = [n & 0xFFFFFFFF]
-    while n > 0xFFFFFFFF:
-        n >>= 32
-        words.append(n & 0xFFFFFFFF)
-    return words
-
-
-def _stream_words(seed: int, n: int) -> np.ndarray:
-    """Row i: ``SeedSequence([seed, i]).generate_state(4, np.uint64)``, the
-    words ``default_rng([seed, i])`` seeds its PCG64 with, for i < n.
-
-    SeedSequence's mixing runs once over the n entropy arrays as the rows
-    of a uint32 matrix; its hash constants evolve with the step count
-    alone, so they are shared scalars. uint32 arithmetic wraps as the C
-    code's does.
-    """
-    if n > 1 << 32:
-        raise ValueError("ordinals must fit one 32-bit word")
-    head = _uint32_words(seed)
-    entropy = np.empty((n, len(head) + 1), dtype=np.uint32)
-    entropy[:, :-1] = head
-    entropy[:, -1] = np.arange(n, dtype=np.uint32)
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = (hash_const * _MULT_A) & 0xFFFFFFFF
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> np.uint32(16))
-
-    def mix(x, y):
-        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-        return result ^ (result >> np.uint32(16))
-
-    zeros = np.zeros(n, dtype=np.uint32)
-    width = entropy.shape[1]
-    pool = [hashmix(entropy[:, i] if i < width else zeros) for i in range(_POOL_SIZE)]
-    for i_src in range(_POOL_SIZE):
-        for i_dst in range(_POOL_SIZE):
-            if i_src != i_dst:
-                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
-    for i_src in range(_POOL_SIZE, width):
-        for i_dst in range(_POOL_SIZE):
-            pool[i_dst] = mix(pool[i_dst], hashmix(entropy[:, i_src]))
-
-    state = np.empty((n, 8), dtype=np.uint32)
-    hash_const = _INIT_B
-    for i_dst in range(8):
-        value = pool[i_dst % _POOL_SIZE] ^ np.uint32(hash_const)
-        hash_const = (hash_const * _MULT_B) & 0xFFFFFFFF
-        value = value * np.uint32(hash_const)
-        state[:, i_dst] = value ^ (value >> np.uint32(16))
-    return state.astype("<u4").view("<u8").astype(np.uint64)
-
-
-def _ordinal_rngs(seed: int, n: int) -> Iterator[np.random.Generator]:
-    """``np.random.default_rng([seed, i])`` for i = 0..n-1, each PCG64
-    seeded with its row of ``_stream_words``."""
-    # numpy.random loads on first use, as np.random does, not at import.
-    from numpy.random.bit_generator import ISeedSequence
-
-    class StreamWords(ISeedSequence):
-        """Hands PCG64 the four uint64 words drawn beforehand."""
-
-        __slots__ = ("words",)
-
-        def __init__(self, words: np.ndarray):
-            self.words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != 4 or dtype is not np.uint64:
-                raise ValueError("these words seed PCG64 only: four uint64 words")
-            return self.words
-
-    for words in _stream_words(seed, n):
-        yield np.random.Generator(np.random.PCG64(StreamWords(words)))
 
 
 def derived_seed(*parts: int) -> int:

@@ -17,12 +17,11 @@ episodes, state sampling, rollouts and traces all read their
 trajectories from it; a rollout that needs only the final assignment
 keeps nothing else.
 
-The hot path builds no per-step objects: ``classify(k)`` returns one
-interned action per k, and ``available_actions`` returns one interned
-tuple per (mono lock, assigned, next legal). A ``LegalPolicy`` promises
-to pick from that tuple, so ``steps`` applies its choices without
-``transition``'s legality check and builds each successor without
-``MdpState``'s cursor check; any other callable's choice is checked.
+The hot path builds no per-step action objects: ``classify(k)`` returns
+one interned action per k, and ``available_actions`` returns one interned
+tuple per (mono lock, assigned, next legal). ``transition`` checks every
+action's legality and then builds the successor without ``MdpState``'s
+cursor check, which a legal action cannot fail.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ from .corpus import Document, MONO_LABEL, TaskMode
 __all__ = [
     "Action",
     "MdpState",
-    "LegalPolicy",
     "EpisodeLog",
     "NEXT",
     "STOP",
@@ -123,26 +121,6 @@ def _successor(state: MdpState, action: Action) -> MdpState:
     _set_p(successor, state.p + 1 if action.kind == "next" else state.p)
     _set_halted(successor, action.kind == "stop")
     return successor
-
-
-class LegalPolicy:
-    """A policy callable whose every choice is an action of
-    ``available_actions(state, mode)`` for its ``mode``.
-
-    ``steps`` applies its choices unchecked when it walks under that
-    mode. The built-in policies come wrapped in one
-    (``policy.policy_callable``); any other callable, or a walk under
-    another mode, is checked step by step.
-    """
-
-    __slots__ = ("choose", "mode")
-
-    def __init__(self, choose: Callable[[MdpState], Action], mode: TaskMode):
-        self.choose = choose
-        self.mode = mode
-
-    def __call__(self, state: MdpState) -> Action:
-        return self.choose(state)
 
 
 @dataclass(frozen=True)
@@ -270,23 +248,18 @@ def steps(
     """Follow ``policy`` from ``state`` until the episode halts, yielding
     each action and the state it leads to.
 
-    The policy must return a legal action for every live state it sees.
-    A ``LegalPolicy`` of ``mode`` has its choices applied unchecked; any
-    other callable's illegal choice raises. Termination is guaranteed within
+    The policy must return a legal action for every live state it sees;
+    an illegal choice raises. Termination is guaranteed within
     n(doc) + C + 1 steps because every action strictly consumes a finite
     resource (sentences, unassigned categories, or the episode itself).
     """
-    if isinstance(policy, LegalPolicy) and policy.mode == mode:
-        choose, apply = policy.choose, _successor
-    else:
-        choose, apply = policy, lambda s, a: transition(s, a, mode)
     step_budget = max_episode_steps(state.doc, len(state.assigned))
     taken = 0
     while not state.halted:  # terminal <=> halted
         if taken >= step_budget:
             raise RuntimeError(f"episode on {state.doc.id!r} exceeded its step budget")
-        action = choose(state)
-        state = apply(state, action)
+        action = policy(state)
+        state = transition(state, action, mode)
         taken += 1
         yield action, state
 

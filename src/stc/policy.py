@@ -32,7 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from . import features
-from .mdp import Action, LegalPolicy, MdpState, available_actions
+from .mdp import Action, MdpState, available_actions
 from .sparse import SparseVector
 
 __all__ = [
@@ -178,11 +178,9 @@ def select_action(
     return actions[int(rng.integers(len(actions)))]
 
 
-def policy_callable(policy: Policy, mode: str, rng: np.random.Generator | None = None) -> LegalPolicy:
-    """Adapt a policy value to the state -> action callable episodes use.
-    Its choices come from ``available_actions(state, mode)``, so an episode
-    walked under ``mode`` applies them unchecked."""
-    return LegalPolicy(lambda state: select_action(policy, state, mode, rng), mode)
+def policy_callable(policy: Policy, mode: str, rng: np.random.Generator | None = None):
+    """Adapt a policy value to the bare state -> action callable episodes use."""
+    return lambda state: select_action(policy, state, mode, rng)
 
 
 Example = tuple[SparseVector, int] | tuple[SparseVector, int, int]

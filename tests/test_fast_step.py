@@ -1,12 +1,14 @@
-"""The allocation-free episode step against the checked one.
+"""The allocation-free episode step against a reference step.
 
-A built-in policy's walk applies its choices without ``transition``'s
-legality check and builds successors without ``MdpState``'s cursor
-check. These tests walk the same policies through a plain callable,
-which ``walk`` checks at every step, and require the same states, the
-same actions and the same rng state afterwards. They also hold the
-interned action tuples to the list the old ``available_actions`` built,
-and the greedy choice to the argmax of the fully summed scores.
+A walk picks from interned action tuples, skips the greedy choice's
+assigned-label part when no label is assigned, draws nothing on a forced
+random step, and builds successors without ``MdpState``'s cursor check.
+These tests walk the built-in policies against a reference that lists
+the legal actions afresh, takes the argmax of the fully summed scores,
+draws on every random step and builds each successor through
+``MdpState``, and require the same states, the same actions and the same
+rng state afterwards. They also hold the interned action tuples to the
+list the old ``available_actions`` built.
 """
 
 import itertools
@@ -16,12 +18,11 @@ import pytest
 
 from conftest import ScriptedPolicy, make_doc
 from stc.corpus import MONO_LABEL, MULTI_LABEL
-from stc.features import state_dim
+from stc.features import action_block, state_dim
 from stc.mdp import (
     NEXT,
     STOP,
     Action,
-    LegalPolicy,
     MdpState,
     available_actions,
     classify,
@@ -82,19 +83,42 @@ def _fields(states):
     return [(s.doc, s.p, s.assigned, s.halted) for s in states]
 
 
+def reference_walk(state, policy, mode, rng):
+    """The episode as the unoptimized step took it: a fresh action list,
+    full score sums, a draw on every random step, checked successors."""
+    states, actions = [state], []
+    while not state.halted:
+        legal = reference_actions(state, mode)
+        if isinstance(policy, Greedy):
+            scores = policy.q.block_scores(state).tolist()
+            best = max(scores[action_block(a, policy.q.n_categories)] for a in legal)
+            action = legal[0] if len(legal) == 1 else next(
+                a for a in legal if scores[action_block(a, policy.q.n_categories)] == best
+            )
+        else:
+            action = legal[int(rng.integers(len(legal)))]
+        assigned = list(state.assigned)
+        if action.kind == "classify":
+            assigned[action.category] = 1
+        state = MdpState(state.doc, state.p + (action.kind == "next"), tuple(assigned), action.kind == "stop")
+        states.append(state)
+        actions.append(action)
+    return states, actions
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_builtin_walks_match_the_checked_path(seed):
+def test_builtin_walks_match_the_reference(seed):
     for state, mode, n_cats, rng in random_states(seed, 120):
         q = random_q(n_cats, rng, ties=bool(rng.random() < 0.3))
         for policy in (Greedy(q), UniformRandom()):
-            rng_fast, rng_checked = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
+            rng_fast, rng_ref = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
             fast = walk(state, policy_callable(policy, mode, rng_fast), mode)
-            checked = walk(state, lambda s: select_action(policy, s, mode, rng_checked), mode)
-            assert fast[1] == checked[1]
-            assert _fields(fast[0]) == _fields(checked[0])
-            assert fast[0] == checked[0]
-            assert all(type(s) is MdpState and hash(s) == hash(c) for s, c in zip(fast[0], checked[0]))
-            assert rng_fast.bit_generator.state == rng_checked.bit_generator.state
+            ref = reference_walk(state, policy, mode, rng_ref)
+            assert fast[1] == ref[1]
+            assert _fields(fast[0]) == _fields(ref[0])
+            assert fast[0] == ref[0]
+            assert all(type(s) is MdpState and hash(s) == hash(r) for s, r in zip(fast[0], ref[0]))
+            assert rng_fast.bit_generator.state == rng_ref.bit_generator.state
 
 
 def test_greedy_choice_is_the_first_argmax_of_the_full_scores():
@@ -139,18 +163,23 @@ def test_foreign_callables_are_still_checked():
     assert states[-1].assigned == (0, 1, 0) and states[-1].halted
 
 
-def test_a_legal_policy_walked_under_another_mode_is_checked():
-    doc = make_doc(3, [1, 0, 0])
-    step = policy_callable(UniformRandom(), MULTI_LABEL, np.random.default_rng(0))
-    assert walk(initial_state(doc), step, MULTI_LABEL)[0][-1].halted
+def test_a_builtin_policy_walked_under_another_mode_is_checked():
+    # Classify blocks outscore next and stop, so a multi-label greedy
+    # policy assigns a second label, which mono mode forbids.
+    doc = make_doc(3, [1, 0, 0], vocab_size=VOCAB)
+    dim = state_dim(VOCAB, 3)
+    theta = np.zeros(5 * dim)
+    theta[: 3 * dim] = 1.0
+    step = policy_callable(Greedy(LinearQ(theta, 3, dim)), MULTI_LABEL)
+    assert walk(initial_state(doc), step, MULTI_LABEL)[1][:3] == [classify(0), classify(1), classify(2)]
     with pytest.raises(ValueError, match="illegal"):
-        walk(initial_state(doc), LegalPolicy(ScriptedPolicy([classify(0), classify(1)]), MULTI_LABEL), MONO_LABEL)
+        walk(initial_state(doc), step, MONO_LABEL)
 
 
-def test_legal_policy_steps_build_valid_states():
+def test_steps_build_valid_states():
     doc = make_doc(4, [0, 1])
     script = ScriptedPolicy([NEXT, classify(1), NEXT, NEXT, STOP])
-    states, actions = walk(initial_state(doc), LegalPolicy(script, MULTI_LABEL), MULTI_LABEL)
+    states, actions = walk(initial_state(doc), script, MULTI_LABEL)
     assert actions == [NEXT, classify(1), NEXT, NEXT, STOP]
     assert [(s.p, s.assigned, s.halted) for s in states] == [
         (1, (0, 0), False),

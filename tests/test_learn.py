@@ -370,36 +370,6 @@ class TestBuildTrainingSet:
             assert example.state_features.nnz > 0
 
 
-class TestOrdinalStreams:
-    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**100 + 7])
-    def test_streams_match_default_rng(self, seed):
-        # 2**64 + 5 and 2**100 + 7 take three and four entropy words, so
-        # the second runs SeedSequence's loop over entropy past the pool.
-        n = 5000
-        words = learn._stream_words(seed, n)
-        assert words.shape == (n, 4) and words.dtype == np.uint64
-        rngs = list(learn._ordinal_rngs(seed, n))
-        for ordinal in [*range(64), 255, 256, 1023, 4096, n - 1]:
-            want = np.random.default_rng([seed, ordinal])
-            got = rngs[ordinal]
-            assert got.bit_generator.state == want.bit_generator.state
-            assert got.integers(1 << 40, size=8).tolist() == want.integers(1 << 40, size=8).tolist()
-            assert got.random() == want.random()
-            assert got.bit_generator.state == want.bit_generator.state
-
-    def test_prefix_of_a_longer_run(self):
-        assert np.array_equal(learn._stream_words(9, 10), learn._stream_words(9, 300)[:10])
-
-    def test_negative_seed_rejected(self):
-        with pytest.raises(ValueError):
-            learn._stream_words(-1, 3)
-
-    def test_words_seed_only_pcg64(self):
-        (rng,) = learn._ordinal_rngs(1, 1)
-        with pytest.raises(ValueError):
-            rng.bit_generator.seed_seq.generate_state(2)
-
-
 class TestPolicyIteration:
     def _keyword_corpus(self, seed=0):
         spec = synthetic.SyntheticSpec(
