@@ -38,7 +38,6 @@ from .evaluation import (
     write_report_files,
 )
 from .learn import (
-    LabeledStateAction,
     PolicyTrainResult,
     RolloutConfig,
     build_training_set,
@@ -64,6 +63,7 @@ from .mdp import (
 )
 from .policy import (
     ClassifierConfig,
+    Examples,
     Greedy,
     LinearQ,
     UniformRandom,

@@ -13,10 +13,14 @@ ln(N_train / df), and every non-empty vector is L2-normalized.
 
 ``vectorize_corpus`` vectorizes a whole split side per call: one pass maps
 every token to its term id, one ``np.unique`` counts the terms of every
-sentence, and the sentence vectors are the row views of one CSR block,
-validated once (``SparseVector.rows``). The document vectors are a second
-block over the same term ids. ``vectorize_sentence`` is the one-row case
-of the same routine, so there is one tf-idf code path.
+sentence, and the sentences' tf-idf weights are one CSR block, validated
+once (``SparseVector.check_block``). The document vectors are a second
+block over the same term ids. A row is L2-normalized and wrapped as a
+``SparseVector`` by one routine (``_TfidfBlock.row``): every document
+vector is built at once, because the baseline reads them all, and each
+sentence vector when it is first read (``SentenceRows``), because an
+episode mostly stops after a few sentences. ``vectorize_sentence`` is the
+one-row case of the same routine, so there is one tf-idf code path.
 """
 
 from __future__ import annotations
@@ -25,8 +29,10 @@ import hashlib
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, repeat
+from typing import Sequence
 
 import numpy as np
 
@@ -38,6 +44,7 @@ __all__ = [
     "CategorySet",
     "Vocabulary",
     "Document",
+    "SentenceRows",
     "Split",
     "TaskMode",
     "load_jsonl",
@@ -158,12 +165,12 @@ class Vocabulary:
 class Document:
     id: str
     y: np.ndarray  # int8 binary label vector, length C
-    sentence_vectors: list[SparseVector]
+    sentence_vectors: Sequence[SparseVector]  # SentenceRows or a plain list
     global_vector: SparseVector
+    n_sentences: int = field(init=False, repr=False)  # a plain attribute: the MDP reads it every step
 
-    @property
-    def n_sentences(self) -> int:
-        return len(self.sentence_vectors)
+    def __post_init__(self):
+        self.n_sentences = len(self.sentence_vectors)
 
 
 @dataclass(frozen=True)
@@ -324,8 +331,9 @@ def build_vocabulary(train_docs: list[RawDocument]) -> Vocabulary:
     return Vocabulary(index, dict(df), len(train_docs))
 
 
-def _tfidf_rows(ids: np.ndarray, lengths: np.ndarray, vocab: Vocabulary) -> list[SparseVector]:
-    """L2-normalized tf-idf vectors of consecutive token runs, as one block.
+class _TfidfBlock:
+    """tf-idf weights of consecutive token runs, one CSR block validated
+    once, and each run's L2-normalized vector on demand.
 
     ``ids`` holds the term id of every token (-1 out of vocabulary) and
     row r owns the next ``lengths[r]`` of them. Each row's terms and
@@ -333,37 +341,77 @@ def _tfidf_rows(ids: np.ndarray, lengths: np.ndarray, vocab: Vocabulary) -> list
     increasing term order. Each weight is count * idf; a row whose
     in-vocabulary terms all weigh zero (all idf zero) uses its raw counts
     instead, so any row with in-vocabulary content is a unit vector. Zero
-    weights are dropped, and each row is scaled by 1 / norm, its norm
+    weights are dropped. ``row(r)`` scales row r by 1 / norm, its norm
     summing the row's squared weights in index order.
     """
-    dim = len(vocab)
-    rows = np.repeat(np.arange(lengths.size, dtype=np.int64), lengths)
-    known = ids >= 0
-    keys, counts = np.unique(rows[known] * dim + ids[known], return_counts=True)
-    rows, indices = np.divmod(keys, dim)
-    weights = counts * vocab.idf[indices]
-    weighted = np.zeros(lengths.size, dtype=bool)
-    weighted[rows[weights != 0.0]] = True
-    fallback = ~weighted[rows]
-    weights[fallback] = counts[fallback]
-    nonzero = weights != 0.0
-    rows, indices, weights = rows[nonzero], indices[nonzero], weights[nonzero]
-    sizes = np.bincount(rows, minlength=lengths.size)
-    indptr = np.concatenate(([0], np.cumsum(sizes)))
-    bounds = indptr.tolist()
-    sums = np.array([np.dot(weights[a:b], weights[a:b]) for a, b in zip(bounds, bounds[1:]) if b > a])
-    values = weights * np.repeat(1.0 / np.sqrt(sums), sizes[sizes > 0])
-    return SparseVector.rows(indptr, indices, values, dim)
+
+    __slots__ = ("bounds", "indices", "weights", "dim")
+
+    def __init__(self, ids: np.ndarray, lengths: np.ndarray, vocab: Vocabulary):
+        dim = len(vocab)
+        rows = np.repeat(np.arange(lengths.size, dtype=np.int64), lengths)
+        known = ids >= 0
+        keys, counts = np.unique(rows[known] * dim + ids[known], return_counts=True)
+        rows, indices = np.divmod(keys, dim)
+        weights = counts * vocab.idf[indices]
+        weighted = np.zeros(lengths.size, dtype=bool)
+        weighted[rows[weights != 0.0]] = True
+        fallback = ~weighted[rows]
+        weights[fallback] = counts[fallback]
+        nonzero = weights != 0.0
+        rows, indices, weights = rows[nonzero], indices[nonzero], weights[nonzero]
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=lengths.size))))
+        indptr, self.indices, self.weights = SparseVector.check_block(indptr, indices, weights, dim)
+        self.bounds = indptr.tolist()
+        self.dim = dim
+
+    def row(self, r: int) -> SparseVector:
+        """Row r as a unit vector (empty if the row has no terms)."""
+        a, b = self.bounds[r], self.bounds[r + 1]
+        weights = self.weights[a:b]
+        if b > a:
+            weights = weights * (1.0 / np.sqrt(np.dot(weights, weights)))
+        return SparseVector.view(self.indices[a:b], weights, self.dim)
+
+
+class SentenceRows:
+    """One document's sentence vectors: a read-only sequence over its rows
+    of the split side's ``_TfidfBlock``.
+
+    Row i is normalized and wrapped the first time it is read, then kept,
+    so a second read returns the same vector. Slices are lists. Most
+    episodes stop after a few sentences, so most rows are never built.
+    """
+
+    __slots__ = ("_block", "_first", "_vectors")
+
+    def __init__(self, block: _TfidfBlock, first: int, n: int):
+        self._block = block
+        self._first = first
+        self._vectors: list[SparseVector | None] = [None] * n
+
+    def __len__(self) -> int:
+        return len(self._vectors)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self._vectors)))]
+        vec = self._vectors[i]
+        if vec is None:
+            i = range(len(self._vectors))[i]  # the non-negative index
+            vec = self._vectors[i] = self._block.row(self._first + i)
+        return vec
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self._vectors)))
 
 
 def _term_ids(sentences: list[list[str]], vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
     """Term id of every token of ``sentences`` (-1 out of vocabulary), and
     each sentence's token count."""
     lengths = np.fromiter(map(len, sentences), dtype=np.int64, count=len(sentences))
-    get = vocab.index.get
-    ids = np.fromiter(
-        (get(t, -1) for tokens in sentences for t in tokens), dtype=np.int64, count=int(lengths.sum())
-    )
+    tokens = chain.from_iterable(sentences)
+    ids = np.fromiter(map(vocab.index.get, tokens, repeat(-1)), dtype=np.int64, count=int(lengths.sum()))
     return ids, lengths
 
 
@@ -375,7 +423,7 @@ def vectorize_sentence(tokens: list[str], vocab: Vocabulary) -> SparseVector:
     sentence with in-vocabulary content yields a unit vector. This is the
     one-row case of ``vectorize_corpus``.
     """
-    return _tfidf_rows(*_term_ids([tokens], vocab), vocab)[0]
+    return _TfidfBlock(*_term_ids([tokens], vocab), vocab).row(0)
 
 
 def vectorize_corpus(
@@ -387,9 +435,11 @@ def vectorize_corpus(
     """Per-sentence tf-idf vectors plus one whole-document vector per doc.
 
     Every sentence of ``raw_docs`` is one row of one CSR block, and every
-    document one row of a second block, built from the same token ids; each
-    vector is a view of its row. Unknown labels raise; in mono-label mode
-    multi-labeled documents are rejected.
+    document one row of a second block, built from the same token ids.
+    A document's sentence vectors are its ``SentenceRows``, built on first
+    read; its document vector is built here, since the baseline reads
+    every one. Unknown labels raise; in mono-label mode multi-labeled
+    documents are rejected.
     """
     labels = []
     for raw in raw_docs:
@@ -397,14 +447,14 @@ def vectorize_corpus(
             raise ValueError(f"document {raw.id!r} has {len(raw.labels)} labels in mono-label mode")
         labels.append(categories.label_vector(raw.labels))
     ids, lengths = _term_ids([tokens for raw in raw_docs for tokens in raw.tokens], vocab)
-    sentence_vectors = _tfidf_rows(ids, lengths, vocab)
+    sentences = _TfidfBlock(ids, lengths, vocab)
     n_sentences = np.fromiter((len(raw.tokens) for raw in raw_docs), dtype=np.int64, count=len(raw_docs))
     first = np.concatenate(([0], np.cumsum(n_sentences)))
     token_bounds = np.concatenate(([0], np.cumsum(lengths)))[first]
-    global_vectors = _tfidf_rows(ids, np.diff(token_bounds), vocab)
+    documents = _TfidfBlock(ids, np.diff(token_bounds), vocab)
     return [
-        Document(id=raw.id, y=y, sentence_vectors=sentence_vectors[a:b], global_vector=g)
-        for raw, y, a, b, g in zip(raw_docs, labels, first[:-1].tolist(), first[1:].tolist(), global_vectors)
+        Document(id=raw.id, y=y, sentence_vectors=SentenceRows(sentences, a, n), global_vector=documents.row(r))
+        for r, (raw, y, a, n) in enumerate(zip(raw_docs, labels, first[:-1].tolist(), n_sentences.tolist()))
     ]
 
 

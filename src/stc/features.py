@@ -12,12 +12,15 @@ A block's score is linear in the state, so its mean and last-sentence
 parts depend only on (document, cursor). ``ScoreRows`` computes them
 cursor by cursor, only up to the furthest cursor asked for; the greedy
 policy scores its steps from those rows and never builds a feature
-vector. A training example is a state's feature vector plus the action's
-block index, and the fit reads that block of the weights. ``phi_states``
+vector; each row reads its sentence vector once, and the vocabulary
+size is kept on the rows object, so a step reads plain attributes. A
+training example is a state's feature vector plus the action's block
+index, and the fit reads that block of the weights. ``phi_states``
 builds the feature vectors of a whole round's states as the rows of one
-CSR block; ``phi_state`` is its one-row case. ``phi_state_action`` builds
-the flat vector of the same example, the state features moved into the
-action's block; it is the oracle the block form is checked against.
+CSR block, the ``rows`` of the round's ``policy.Examples``; ``phi_state``
+is its one-row case. ``phi_state_action`` builds the flat vector of the
+same example, the state features moved into the action's block; it is
+the oracle the block form is checked against.
 """
 
 from __future__ import annotations
@@ -124,7 +127,7 @@ class ScoreRows:
     whole-document ``np.cumsum`` table would do, in the same order.
     """
 
-    __slots__ = ("doc", "blocks", "rows", "filled", "running")
+    __slots__ = ("doc", "blocks", "vocab_size", "rows", "filled", "running")
 
     def __init__(self, doc: Document, blocks: np.ndarray):
         vocab_size = doc.sentence_vectors[0].dim
@@ -133,6 +136,7 @@ class ScoreRows:
             raise ValueError(f"state features have dim {dim}, scorer expects {blocks.shape[1]}")
         self.doc = doc
         self.blocks = blocks
+        self.vocab_size = vocab_size
         self.rows = np.empty((doc.n_sentences, blocks.shape[0]))
         self.filled = 0
         # -0.0 is the identity of IEEE addition (0.0 + -0.0 is 0.0), so the
@@ -141,10 +145,9 @@ class ScoreRows:
 
     def row(self, p: int) -> np.ndarray:
         """The row of cursor p (1-based), computing the rows up to it."""
-        blocks = self.blocks
-        vocab_size = self.doc.sentence_vectors[0].dim
+        blocks, vocab_size, vectors = self.blocks, self.vocab_size, self.doc.sentence_vectors
         while self.filled < p:
-            v = self.doc.sentence_vectors[self.filled]
+            v = vectors[self.filled]
             self.running += blocks[:, v.indices] @ v.values
             self.rows[self.filled] = self.running / (self.filled + 1) + blocks[:, v.indices + vocab_size] @ v.values
             self.filled += 1

@@ -15,8 +15,11 @@ training-reward episodes are the ones the next round samples from. A
 greedy state's labels are fixed within the round, so each distinct
 sampled state is labelled once, however often it is drawn. The round's
 labelled states are featurized together, as the rows of one CSR block
-(``features.phi_states``); a state's examples share its row and name
-their action's block of theta.
+(``features.phi_states``). The examples are columns over that block
+(``policy.Examples``): per example, its state's row, its action's block
+of theta and its label, so no per-example object is built. A round's
+examples are released once they are fitted, before the next round
+samples.
 
 Per-state randomness is drawn from a stream derived from (seed, state
 ordinal), so the sampled workload is independent of scheduling and the
@@ -29,6 +32,7 @@ assignment of its walk, not the states it passed.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -46,6 +50,7 @@ from .mdp import (
 )
 from .policy import (
     ClassifierConfig,
+    Examples,
     Greedy,
     LinearQ,
     Policy,
@@ -53,11 +58,9 @@ from .policy import (
     policy_callable,
     train_linear,
 )
-from .sparse import SparseVector
 
 __all__ = [
     "RolloutConfig",
-    "LabeledStateAction",
     "RolloutBatch",
     "PolicyTrainResult",
     "sample_state",
@@ -94,17 +97,10 @@ class RolloutConfig:
             raise ValueError("iterations must be >= 1")
 
 
-@dataclass(frozen=True)
-class LabeledStateAction:
-    state_features: SparseVector  # the state's row of the round's phi_states block, shared by its actions
-    label: int  # +1 good, -1 bad
-    state_ordinal: int
-    action: Action
-
-
 @dataclass
 class RolloutBatch:
-    examples: list[LabeledStateAction]
+    examples: Examples  # rows: the labelled states' phi_states block
+    ordinals: np.ndarray  # int64, each example's state ordinal
     n_states: int
     n_skipped_states: int
 
@@ -208,15 +204,16 @@ def _action_labels(
     mode: TaskMode,
     rng: np.random.Generator,
     n_rollouts: int,
-) -> tuple[list[Action], list[int]] | None:
-    """The legal actions and their +1/-1 labels, or None when every action
-    ties."""
+) -> tuple[list[int], list[int]] | None:
+    """The blocks of the legal actions and their +1/-1 labels, or None
+    when every action ties."""
     actions = available_actions(state, mode)
     returns = [rollout_return(state, a, policy, state.doc.y, mode, rng, n_rollouts) for a in actions]
     best = max(returns)
     if all(r == best for r in returns):
         return None
-    return actions, [1 if r == best else -1 for r in returns]
+    n_categories = len(state.assigned)
+    return [features.action_block(a, n_categories) for a in actions], [1 if r == best else -1 for r in returns]
 
 
 def build_training_set(
@@ -230,39 +227,56 @@ def build_training_set(
     Actions attaining the per-state maximum estimated return are labeled
     +1 and the rest -1 (exact comparison; returns are finite sums of
     identical F1 computations). States where every action ties contribute
-    nothing. Examples come in state order, then action order; a state's
-    examples share one feature vector, and all of them are built in one
-    block at the end of the round.
+    nothing. Examples come in state order, then action order, as columns:
+    each distinct labelled state is one row of one ``phi_states`` block,
+    and each example names its state's row, its action's block and its
+    label.
 
     Under a greedy policy a state's returns are exact, so each distinct
     state is labelled once and its later draws reuse the labels. Every
     draw still takes its own rng and its own sample, and counts and emits
     its own examples, so the batch is the one a fresh labelling per draw
     would give. A random policy's rollouts draw from each draw's rng, so
-    every draw is labelled afresh.
+    every draw is labelled afresh. Either way a draw hashes its state
+    once to find its row and labels, and once more on a first sight.
     """
     reuse = isinstance(policy, Greedy)
-    labels: dict[MdpState, tuple[list[Action], list[int]] | None] = {}
-    labelled: list[tuple[int, MdpState, tuple[list[Action], list[int]]]] = []
+    # A state's row (-1 until it has examples) and its latest labelling.
+    seen: dict[MdpState, tuple[int, tuple[list[int], list[int]] | None]] = {}
+    distinct: list[MdpState] = []
+    drawn: list[tuple[int, int, list[int], list[int]]] = []  # (ordinal, row, blocks, labels)
     n_skipped = 0
     for ordinal in range(cfg.n_states):
         rng = np.random.default_rng([cfg.seed, ordinal])
         state = sample_state(train_docs, policy, mode, rng)
-        if not (reuse and state in labels):
-            labels[state] = _action_labels(state, policy, mode, rng, cfg.rollouts_per_state)
-        state_labels = labels[state]
-        if state_labels is None:
+        entry = seen.get(state)
+        if entry is None or not reuse:
+            row = -1 if entry is None else entry[0]
+            labelling = _action_labels(state, policy, mode, rng, cfg.rollouts_per_state)
+            if labelling is not None and row < 0:
+                row = len(distinct)
+                distinct.append(state)
+            entry = seen[state] = (row, labelling)
+        row, labelling = entry
+        if labelling is None:
             n_skipped += 1
         else:
-            labelled.append((ordinal, state, state_labels))
-    distinct = list(dict.fromkeys(state for _, state, _ in labelled))
-    phis = dict(zip(distinct, features.phi_states(distinct)))
-    examples = [
-        LabeledStateAction(phis[state], label, ordinal, action)
-        for ordinal, state, (actions, action_labels) in labelled
-        for action, label in zip(actions, action_labels)
-    ]
-    return RolloutBatch(examples=examples, n_states=cfg.n_states, n_skipped_states=n_skipped)
+            drawn.append((ordinal, row, *labelling))
+    ordinals, rows, blocks, labels = zip(*drawn) if drawn else ((),) * 4
+    sizes = np.fromiter(map(len, blocks), dtype=np.int64, count=len(blocks))
+    count = int(sizes.sum())
+    examples = Examples(
+        rows=features.phi_states(distinct),
+        row=np.repeat(np.array(rows, dtype=np.int64), sizes),
+        block=np.fromiter(chain.from_iterable(blocks), dtype=np.int64, count=count),
+        label=np.fromiter(chain.from_iterable(labels), dtype=np.int64, count=count),
+    )
+    return RolloutBatch(
+        examples=examples,
+        ordinals=np.repeat(np.array(ordinals, dtype=np.int64), sizes),
+        n_states=cfg.n_states,
+        n_skipped_states=n_skipped,
+    )
 
 
 def mean_episode_reward(docs: list[Document], policy: Policy, mode: TaskMode) -> float:
@@ -304,22 +318,20 @@ def policy_iteration(
     for iteration in range(1, cfg.iterations + 1):
         round_cfg = replace(cfg, seed=derived_seed(cfg.seed, iteration))
         batch = build_training_set(train_docs, current, mode, round_cfg)
-        if not batch.examples:
+        n_examples, n_skipped = len(batch.examples), batch.n_skipped_states
+        if not n_examples:
             raise RuntimeError(f"iteration {iteration}: every sampled state tied; no training examples")
         classifier_cfg = replace(cfg.classifier, seed=cfg.classifier.seed + iteration)
-        theta = train_linear(
-            [(e.state_features, features.action_block(e.action, n_categories), e.label) for e in batch.examples],
-            classifier_cfg,
-            features.n_action_blocks(n_categories),
-        )
+        theta = train_linear(batch.examples, classifier_cfg, features.n_action_blocks(n_categories))
+        del batch  # so the next round samples without this round's examples alive
         q = LinearQ(theta, n_categories, dim)
         candidate = Greedy(q)
         candidate_reward = mean_episode_reward(train_docs, candidate, mode)
         telemetry.append(
             {
                 "iteration": iteration,
-                "n_examples": len(batch.examples),
-                "n_skipped_states": batch.n_skipped_states,
+                "n_examples": n_examples,
+                "n_skipped_states": n_skipped,
                 "mean_episode_reward": candidate_reward,
             }
         )

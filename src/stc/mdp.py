@@ -163,7 +163,7 @@ def available_actions(state: MdpState, mode: TaskMode) -> tuple[Action, ...]:
         raise ValueError("no actions are available in a halted state")
     if mode == MONO_LABEL and any(state.assigned):
         return _STOP_ONLY
-    key = (state.assigned, state.p < len(state.doc.sentence_vectors))
+    key = (state.assigned, state.p < state.doc.n_sentences)
     actions = _LEGAL.get(key)
     if actions is None:
         unassigned = [classify(k) for k, taken in enumerate(state.assigned) if not taken]

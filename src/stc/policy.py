@@ -20,7 +20,11 @@ The classifier minimizes an L2-regularized hinge loss by stochastic
 subgradient descent with step size 1/(lambda*t). Its weight vector is
 made of equal-sized blocks, and each example names the block its
 features sit in: the action scorer has one block per action, the
-whole-document baseline (one-vs-rest) has one.
+whole-document baseline (one-vs-rest) has one. Its input is one
+``Examples`` value: the distinct feature vectors plus per-example row,
+block and label columns, so no per-example object is built. The
+objective and subgradient oracles (``hinge_objective``,
+``hinge_subgradient``) take plain (x, y) pairs.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ __all__ = [
     "action_scores",
     "select_action",
     "policy_callable",
+    "Examples",
     "train_linear",
     "train_multiclass_ovr",
     "hinge_objective",
@@ -183,56 +188,77 @@ def policy_callable(policy: Policy, mode: str, rng: np.random.Generator | None =
     return lambda state: select_action(policy, state, mode, rng)
 
 
-Example = tuple[SparseVector, int] | tuple[SparseVector, int, int]
+@dataclass(frozen=True, eq=False)  # compared by identity: its columns are arrays
+class Examples:
+    """Training examples as columns: example i is the feature vector
+    ``rows[row[i]]``, placed in block ``block[i]`` of the weights, with
+    label ``label[i]`` (+1 or -1). Examples that share a feature vector
+    share its row, so a round's examples hold one vector per labelled
+    state and three ints each."""
+
+    rows: Sequence[SparseVector]  # the distinct feature vectors
+    row: np.ndarray  # int64, per example
+    block: np.ndarray  # int64, per example
+    label: np.ndarray  # int64, per example
+
+    def __len__(self) -> int:
+        return len(self.label)
 
 
-def _check_examples(examples: Sequence[Example], n_blocks: int) -> tuple[list[tuple[SparseVector, int, int]], int]:
-    """The examples as (x, block, y) triples, and the dimension of x."""
-    if not examples:
+def _check_examples(examples: Examples, n_blocks: int) -> int:
+    """Check the columns once; the dimension of the feature vectors."""
+    if not len(examples):
         raise ValueError("no training examples")
-    triples = [(e[0], 0, e[1]) if len(e) == 2 else e for e in examples]
-    labels = {label for _, _, label in triples}
+    if not len(examples.row) == len(examples.block) == len(examples.label):
+        raise ValueError("the row, block and label columns differ in length")
+    if examples.row.min() < 0 or examples.row.max() >= len(examples.rows):
+        raise ValueError(f"example rows must lie in 0..{len(examples.rows) - 1}")
+    # A set of the labels' ints, not np.unique: np.unique sorts a copy of
+    # the whole column, which raised a grid worker's peak RSS by 1.4 MB.
+    labels = set(examples.label.tolist())
     if not labels <= {-1, 1}:
         raise ValueError(f"labels must be +1/-1, got {sorted(labels)}")
     if len(labels) < 2:
         raise ValueError("training requires at least one example of each label")
-    dim = triples[0][0].dim
-    if any(x.dim != dim for x, _, _ in triples):
-        raise ValueError("examples have inconsistent dimensions")
-    if any(not 0 <= block < n_blocks for _, block, _ in triples):
+    if examples.block.min() < 0 or examples.block.max() >= n_blocks:
         raise ValueError(f"example blocks must lie in 0..{n_blocks - 1}")
-    return triples, dim
+    dim = examples.rows[0].dim
+    if any(x.dim != dim for x in examples.rows):
+        raise ValueError("examples have inconsistent dimensions")
+    return dim
 
 
-def train_linear(examples: Sequence[Example], cfg: ClassifierConfig, n_blocks: int = 1) -> np.ndarray:
+def train_linear(examples: Examples, cfg: ClassifierConfig, n_blocks: int = 1) -> np.ndarray:
     """Stochastic subgradient descent on the L2-regularized hinge loss.
 
-    The weight vector is ``n_blocks`` blocks of x's dimension. An example
-    is (x, block, y), with x placed in that block of the feature space, or
-    (x, y) for block 0. Objective:
-    lam/2 * ||theta||^2 + mean_i max(0, 1 - y_i <theta, x_i>),
+    The weight vector is ``n_blocks`` blocks of x's dimension, and
+    example i is x = ``examples.rows[examples.row[i]]`` placed in block
+    ``examples.block[i]``, with label y = ``examples.label[i]``.
+    Objective: lam/2 * ||theta||^2 + mean_i max(0, 1 - y_i <theta, x_i>),
     minimized over ``cfg.epochs`` shuffled passes with step 1/(lam * t).
     Deterministic given the example order and seed. The weight vector is
     kept as scale * direction so each update touches only the example's
     support; indexing a block's row gives the sums and updates that the
     flat vector of x placed in the block would. The margin is the
     ndarray ``dot`` of the gathered weights and x's values: the same BLAS
-    ddot that ``@`` reaches, without the matmul dispatch.
+    ddot that ``@`` reaches, without the matmul dispatch. The columns are
+    read as Python lists, made once per fit.
     """
-    triples, dim = _check_examples(examples, n_blocks)
+    dim = _check_examples(examples, n_blocks)
     lam = cfg.lam
     v = np.zeros(n_blocks * dim)
-    rows = v.reshape(n_blocks, dim)  # a view: updates to a row land in v
+    weight_rows = v.reshape(n_blocks, dim)  # a view: updates to a row land in v
+    xs = examples.rows
+    row, block, label = examples.row.tolist(), examples.block.tolist(), examples.label.tolist()
     scale = 1.0
     t = 0
     rng = np.random.default_rng(cfg.seed)
-    order = np.arange(len(triples))
+    order = np.arange(len(label))
     for _ in range(cfg.epochs):
         rng.shuffle(order)
-        for i in order:
+        for i in order.tolist():
             t += 1
-            x, block, y = triples[i]
-            w = rows[block]
+            x, w, y = xs[row[i]], weight_rows[block[i]], label[i]
             eta = 1.0 / (lam * t)
             margin = y * scale * w[x.indices].dot(x.values)
             scale *= 1.0 - eta * lam  # = 1 - 1/t; zero exactly at t == 1
@@ -254,8 +280,10 @@ def train_multiclass_ovr(
 ) -> tuple[list[np.ndarray], list[int]]:
     """One binary classifier per class, class k against the rest.
 
-    Returns (weight vectors, indices of classes that had no positive
-    training example and were given an all-zero weight vector).
+    Every class fits the same rows, one per document, in block 0; only
+    the label column changes. Returns (weight vectors, indices of classes
+    that had no positive training example and were given an all-zero
+    weight vector).
     """
     label_matrix = np.asarray(label_matrix)
     if label_matrix.ndim != 2 or label_matrix.shape[1] < 2:
@@ -263,6 +291,8 @@ def train_multiclass_ovr(
     if len(xs) != label_matrix.shape[0]:
         raise ValueError("example/label count mismatch")
     dim = xs[0].dim
+    row = np.arange(len(xs))
+    block = np.zeros(len(xs), dtype=np.int64)
     weights: list[np.ndarray] = []
     empty_classes: list[int] = []
     for k in range(label_matrix.shape[1]):
@@ -277,8 +307,7 @@ def train_multiclass_ovr(
             empty_classes.append(k)
             continue
         per_class_cfg = ClassifierConfig(lam=cfg.lam, epochs=cfg.epochs, seed=cfg.seed + k)
-        examples = [(x, int(s)) for x, s in zip(xs, signs)]
-        weights.append(train_linear(examples, per_class_cfg))
+        weights.append(train_linear(Examples(xs, row, block, signs), per_class_cfg))
     return weights, empty_classes
 
 

@@ -5,13 +5,15 @@ features, state-action features) share this representation: parallel
 ``indices``/``values`` arrays plus a notional dense dimension. Zero-valued
 entries are never stored. A vector is validated once, when it is built:
 callers compute its final indices and values first (tf-idf weighting and
-L2 normalization happen in ``corpus.vectorize_corpus``), so no vector
-is copied to be rescaled.
+L2 normalization happen in ``corpus``), so no vector is copied to be
+rescaled.
 
 Many vectors can also be built at once, as the rows of one CSR block
-(``indptr``, ``indices``, ``values``): ``SparseVector.rows`` checks the
-whole block with a few array operations and returns one view per row,
-without validating each row again.
+(``indptr``, ``indices``, ``values``): ``SparseVector.check_block`` checks
+the whole block with a few array operations, and ``SparseVector.view``
+wraps one of its rows without validating it again. ``SparseVector.rows``
+does both for every row; a caller that reads few rows of a large block
+can check it once and wrap each row when it is first read.
 """
 
 from __future__ import annotations
@@ -49,8 +51,8 @@ class SparseVector:
         return out
 
     @staticmethod
-    def rows(indptr, indices, values, dim: int) -> list["SparseVector"]:
-        """Row views of one CSR block, validated once for the whole block.
+    def check_block(indptr, indices, values, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One CSR block's arrays as int64, int64 and float64, validated once.
 
         Row r holds ``indices[indptr[r]:indptr[r + 1]]`` and the matching
         values. Indices must be strictly increasing within each row and lie
@@ -69,11 +71,21 @@ class SparseVector:
             rising[inner - 1] = True  # a row boundary, not a step within a row
             if not rising.all() or idx.min() < 0 or idx.max() >= dim:
                 raise ValueError("indices must be strictly increasing within each row and within [0, dim)")
-        out = []
-        for start, end in zip(ptr[:-1].tolist(), ptr[1:].tolist()):
-            vec = object.__new__(SparseVector)
-            object.__setattr__(vec, "indices", idx[start:end])
-            object.__setattr__(vec, "values", val[start:end])
-            object.__setattr__(vec, "dim", dim)
-            out.append(vec)
-        return out
+        return ptr, idx, val
+
+    @staticmethod
+    def view(indices: np.ndarray, values: np.ndarray, dim: int) -> "SparseVector":
+        """A vector over one row of a block ``check_block`` passed, built
+        without validating the row again."""
+        vec = object.__new__(SparseVector)
+        object.__setattr__(vec, "indices", indices)
+        object.__setattr__(vec, "values", values)
+        object.__setattr__(vec, "dim", dim)
+        return vec
+
+    @staticmethod
+    def rows(indptr, indices, values, dim: int) -> list["SparseVector"]:
+        """Row views of one CSR block, validated once for the whole block."""
+        ptr, idx, val = SparseVector.check_block(indptr, indices, values, dim)
+        bounds = ptr.tolist()
+        return [SparseVector.view(idx[a:b], val[a:b], dim) for a, b in zip(bounds, bounds[1:])]

@@ -3,6 +3,7 @@ import pytest
 
 from stc.corpus import Document
 from stc.mdp import available_actions, initial_state, transition
+from stc.policy import Examples
 from stc.sparse import SparseVector
 
 
@@ -11,6 +12,18 @@ def sparse(dense):
     dense = np.asarray(dense, dtype=np.float64)
     indices = np.nonzero(dense)[0]
     return SparseVector(indices, dense[indices], dense.shape[0])
+
+
+def columns(examples):
+    """``policy.Examples`` of (x, y) pairs or (x, block, y) triples, one
+    row per example, in the given order."""
+    triples = [(e[0], 0, e[1]) if len(e) == 2 else e for e in examples]
+    return Examples(
+        rows=[x for x, _, _ in triples],
+        row=np.arange(len(triples)),
+        block=np.array([block for _, block, _ in triples], dtype=np.int64),
+        label=np.array([y for _, _, y in triples], dtype=np.int64),
+    )
 
 
 def norm(vec):

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import norm
 from stc import corpus, synthetic
+from stc.sparse import SparseVector
 from stc.corpus import (
     CategorySet,
     RawDocument,
@@ -353,6 +354,84 @@ class TestVectorizeBlock:
 
     def test_no_documents(self, vocab):
         assert vectorize_corpus([], vocab, CategorySet(("a", "b")), corpus.MONO_LABEL) == []
+
+
+def _eager_rows(raw_docs, vocab):
+    """Every sentence vector of ``raw_docs``, normalized all at once over
+    the side's weight block by array operations: the eager route that
+    the rows read one by one must match."""
+    ids, lengths = corpus._term_ids([tokens for raw in raw_docs for tokens in raw.tokens], vocab)
+    block = corpus._TfidfBlock(ids, lengths, vocab)
+    bounds = block.bounds
+    sizes = np.diff(bounds)
+    sums = np.array([np.dot(block.weights[a:b], block.weights[a:b]) for a, b in zip(bounds, bounds[1:]) if b > a])
+    values = block.weights * np.repeat(1.0 / np.sqrt(sums), sizes[sizes > 0])
+    return SparseVector.rows(bounds, block.indices, values, len(vocab))
+
+
+def _same_bytes(a, b):
+    return a.dim == b.dim and a.indices.tobytes() == b.indices.tobytes() and a.values.tobytes() == b.values.tobytes()
+
+
+class TestSentenceRows:
+    """A document's sentence vectors are built on first read, in any
+    order, with the bytes of the eagerly normalized block."""
+
+    @pytest.fixture
+    def raw_docs(self):
+        return [
+            # An empty row (no in-vocabulary term), a normal one and an
+            # all-idf-0 row (raw counts).
+            _tokenized("d1", "a", [["unseen"], ["cocoa", "wheat", "cocoa"], ["price", "price"]]),
+            _tokenized("d2", "b", [["wheat", "price"], ["price", "cocoa"], ["other"], ["cocoa"]]),
+        ]
+
+    def test_reads_in_any_order_match_the_eager_block(self, raw_docs):
+        vocab = _oracle_vocab()
+        eager = _eager_rows(raw_docs, vocab)
+        d1, d2 = vectorize_corpus(raw_docs, vocab, CategorySet(("a", "b")), corpus.MONO_LABEL)
+        assert (len(d1.sentence_vectors), len(d2.sentence_vectors)) == (d1.n_sentences, d2.n_sentences) == (3, 4)
+        last = d2.sentence_vectors[-1]  # a negative index first
+        middle = d2.sentence_vectors[1:3]  # then a slice, a list
+        assert isinstance(middle, list) and len(middle) == 2
+        assert d2.sentence_vectors[-3] is middle[0] and d2.sentence_vectors[2] is middle[1]
+        assert d2.sentence_vectors[3] is last
+        assert list(d1.sentence_vectors[::-1]) == [d1.sentence_vectors[i] for i in (2, 1, 0)]
+        lazy = [*d1.sentence_vectors, *d2.sentence_vectors]
+        assert len(lazy) == len(eager) == 7
+        assert all(_same_bytes(a, b) for a, b in zip(lazy, eager))
+        assert [v.nnz for v in d1.sentence_vectors] == [0, 2, 1]
+        with pytest.raises(IndexError):
+            d1.sentence_vectors[3]
+        with pytest.raises(IndexError):
+            d1.sentence_vectors[-4]
+
+    def test_synthetic_side_matches_the_eager_block(self):
+        spec = synthetic.SyntheticSpec(n_categories=3, docs_per_class=10, sentences_per_doc=5, noise_vocab_size=30, seed=4)
+        raw = synthetic.generate(spec)
+        vocab = build_vocabulary(raw[::2])
+        docs = vectorize_corpus(raw, vocab, CategorySet.from_documents(raw), corpus.MONO_LABEL)
+        eager = _eager_rows(raw, vocab)
+        # Read the rows back to front, then check each second read.
+        lazy = [doc.sentence_vectors[i] for doc in reversed(docs) for i in range(-1, -doc.n_sentences - 1, -1)]
+        lazy.reverse()
+        assert len(lazy) == len(eager)
+        assert all(_same_bytes(a, b) for a, b in zip(lazy, eager))
+        assert all(a is b for a, b in zip(lazy, (v for doc in docs for v in doc.sentence_vectors)))
+
+    def test_each_block_is_checked_once_when_vectorized(self, raw_docs, monkeypatch):
+        checked = []
+        real_check = SparseVector.check_block
+
+        def counting_check(*args):
+            checked.append(args)
+            return real_check(*args)
+
+        monkeypatch.setattr(SparseVector, "check_block", staticmethod(counting_check))
+        docs = vectorize_corpus(raw_docs, _oracle_vocab(), CategorySet(("a", "b")), corpus.MONO_LABEL)
+        assert len(checked) == 2  # the sentence block and the document block
+        assert sum(v.nnz for doc in docs for v in doc.sentence_vectors) > 0
+        assert len(checked) == 2  # reading a row checks nothing again
 
 
 class TestSplits:

@@ -3,13 +3,14 @@ change no bit of the training set or of the fitted weights.
 
 The second route here walks every sampled state's episode and every
 rollout afresh, with a policy object whose memo is never filled, and
-builds one flat ``phi_state_action`` vector per labelled action.
+builds one flat ``phi_state_action`` vector per labelled action. The
+batch's columns are expanded to the same flat vectors to be compared.
 """
 
 import numpy as np
 import pytest
 
-from conftest import make_doc
+from conftest import columns, make_doc
 from stc.corpus import MONO_LABEL, MULTI_LABEL
 from stc.features import action_block, n_action_blocks, phi_state_action, state_dim
 from stc.learn import RolloutConfig, build_training_set, mean_episode_reward, rollout_return, sample_state
@@ -18,8 +19,8 @@ from stc.policy import ClassifierConfig, Greedy, LinearQ, policy_callable, train
 
 
 def _fresh_walk_training_set(docs, q, mode, cfg):
-    """(ordinal, action, label, flat features) rows, by a fresh walk per
-    sampled state and per rollout."""
+    """(ordinal, action block, label, flat features) rows, by a fresh walk
+    per sampled state and per rollout."""
     step = policy_callable(Greedy(q), mode)
     rows = []
     for ordinal in range(cfg.n_states):
@@ -39,24 +40,27 @@ def _fresh_walk_training_set(docs, q, mode, cfg):
         if all(r == best for r in returns):
             continue
         for action, ret in zip(actions, returns):
-            rows.append((ordinal, action, 1 if ret == best else -1, phi_state_action(state, action)))
+            block = action_block(action, len(doc.y))
+            rows.append((ordinal, block, 1 if ret == best else -1, phi_state_action(state, action)))
     return rows
 
 
 def _expanded_rows(batch, n_categories):
     """The batch's examples with each state vector moved into its action's block."""
     rows = []
-    for e in batch.examples:
-        x = e.state_features
-        offset = action_block(e.action, n_categories) * x.dim
-        rows.append((e.state_ordinal, e.action, e.label, x.indices + offset, x.values, n_action_blocks(n_categories) * x.dim))
+    examples = batch.examples
+    for ordinal, row, block, label in zip(
+        batch.ordinals.tolist(), examples.row.tolist(), examples.block.tolist(), examples.label.tolist()
+    ):
+        x = examples.rows[row]
+        rows.append((ordinal, block, label, x.indices + block * x.dim, x.values, n_action_blocks(n_categories) * x.dim))
     return rows
 
 
 def _assert_same_rows(got, want):
     assert len(got) == len(want) > 0
-    for (ordinal, action, label, indices, values, dim), (w_ordinal, w_action, w_label, w_x) in zip(got, want):
-        assert (ordinal, action, label, dim) == (w_ordinal, w_action, w_label, w_x.dim)
+    for (ordinal, block, label, indices, values, dim), (w_ordinal, w_block, w_label, w_x) in zip(got, want):
+        assert (ordinal, block, label, dim) == (w_ordinal, w_block, w_label, w_x.dim)
         assert indices.tobytes() == w_x.indices.tobytes()
         assert values.tobytes() == w_x.values.tobytes()
 
@@ -154,7 +158,7 @@ def test_block_sgd_matches_flat_sgd_on_a_greedy_batch(instance):
     q = LinearQ(np.random.default_rng(7 + instance).standard_normal(5 * dim), 3, dim)
     cfg = RolloutConfig(n_states=80, seed=2)
     batch = build_training_set(docs, Greedy(q), mode, cfg)
-    flat = [(x, label) for _, _, label, x in _fresh_walk_training_set(docs, q, mode, cfg)]
-    blocks = [(e.state_features, action_block(e.action, 3), e.label) for e in batch.examples]
+    flat = columns([(x, label) for _, _, label, x in _fresh_walk_training_set(docs, q, mode, cfg)])
     classifier = ClassifierConfig(lam=1e-2, epochs=4, seed=3)
-    assert train_linear(blocks, classifier, n_action_blocks(3)).tobytes() == train_linear(flat, classifier).tobytes()
+    block_theta = train_linear(batch.examples, classifier, n_action_blocks(3))
+    assert block_theta.tobytes() == train_linear(flat, classifier).tobytes()

@@ -1,4 +1,5 @@
 import itertools
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -11,7 +12,6 @@ from stc import learn, synthetic
 from stc.corpus import MONO_LABEL, MULTI_LABEL, CategorySet
 from stc.features import action_block, phi_state, state_dim
 from stc.learn import (
-    LabeledStateAction,
     RolloutConfig,
     build_training_set,
     mean_episode_reward,
@@ -226,6 +226,15 @@ class TestRolloutReturn:
         assert one == many
 
 
+def _by_state(batch):
+    """Each state ordinal's (action block, label) pairs, in action order."""
+    groups = {}
+    columns = (batch.ordinals.tolist(), batch.examples.block.tolist(), batch.examples.label.tolist())
+    for ordinal, block, label in zip(*columns):
+        groups.setdefault(ordinal, []).append((block, label))
+    return groups
+
+
 class TestBuildTrainingSet:
     def _only_one_good_doc(self):
         # Single sentence, mono-label: classify(correct) returns 1, all
@@ -240,13 +249,10 @@ class TestBuildTrainingSet:
         policy = Greedy(LinearQ(theta, 2, dim))
         cfg = RolloutConfig(n_states=5, iterations=1, seed=0)
         batch = build_training_set([doc], policy, MONO_LABEL, cfg)
-        per_state = {}
-        for example in batch.examples:
-            per_state.setdefault(example.state_ordinal, []).append(example)
-        for examples in per_state.values():
-            positives = [e for e in examples if e.label == 1]
+        for examples in _by_state(batch).values():
+            positives = [block for block, label in examples if label == 1]
             assert len(positives) == 1
-            assert positives[0].action == classify(1)
+            assert positives[0] == action_block(classify(1), 2)
 
     def test_exact_tie_between_next_and_stop(self):
         # Multi-label state whose assignment already equals y, with a
@@ -275,12 +281,11 @@ class TestBuildTrainingSet:
         cfg = RolloutConfig(n_states=12, iterations=1, seed=1)
         batch = build_training_set([doc], policy, MONO_LABEL, cfg)
         assert batch.n_skipped_states >= 1
-        retained = {e.state_ordinal for e in batch.examples}
+        retained = _by_state(batch)
         assert len(retained) + batch.n_skipped_states == 12
-        for ordinal in retained:
-            group = [e for e in batch.examples if e.state_ordinal == ordinal]
-            positives = [e for e in group if e.label == 1]
-            assert [str(p.action) for p in positives] == ["classify:0"]
+        for group in retained.values():
+            positives = [block for block, label in group if label == 1]
+            assert positives == [action_block(classify(0), 2)]
 
     def test_size_bound(self):
         docs = [make_doc(3, [1, 0], seed=s) for s in range(4)]
@@ -293,14 +298,11 @@ class TestBuildTrainingSet:
         cfg = RolloutConfig(n_states=30, iterations=1, seed=5)
         policy = UniformRandom()
         batch = build_training_set(docs, policy, MONO_LABEL, cfg)
-        for example in batch.examples:
-            # Recompute this example's return with the same derived stream.
-            assert example.label in (-1, 1)
-        ordinals = {e.state_ordinal for e in batch.examples}
-        for ordinal in ordinals:
-            group = [e for e in batch.examples if e.state_ordinal == ordinal]
-            assert any(e.label == 1 for e in group)
-            assert any(e.label == -1 for e in group)
+        for label in batch.examples.label.tolist():
+            assert label in (-1, 1)
+        for group in _by_state(batch).values():
+            assert any(label == 1 for _, label in group)
+            assert any(label == -1 for _, label in group)
 
     def test_prefix_monotonicity_when_doubling_budget(self):
         docs = [make_doc(3, [1, 0], seed=s) for s in range(3)]
@@ -308,14 +310,8 @@ class TestBuildTrainingSet:
         large = RolloutConfig(n_states=20, iterations=1, seed=8)
         batch_small = build_training_set(docs, UniformRandom(), MONO_LABEL, small)
         batch_large = build_training_set(docs, UniformRandom(), MONO_LABEL, large)
-        small_by_state = {
-            ordinal: [(str(e.action), e.label) for e in batch_small.examples if e.state_ordinal == ordinal]
-            for ordinal in range(10)
-        }
-        large_by_state = {
-            ordinal: [(str(e.action), e.label) for e in batch_large.examples if e.state_ordinal == ordinal]
-            for ordinal in range(10)
-        }
+        small_by_state = {ordinal: _by_state(batch_small).get(ordinal, []) for ordinal in range(10)}
+        large_by_state = {ordinal: _by_state(batch_large).get(ordinal, []) for ordinal in range(10)}
         assert small_by_state == large_by_state
 
     @pytest.mark.parametrize("mode", [MONO_LABEL, MULTI_LABEL])
@@ -341,7 +337,30 @@ class TestBuildTrainingSet:
         assert len(sampled) == 120 > 2 * len(distinct)
         assert Counter(rolled) == Counter((s, a) for s in distinct for a in available_actions(s, mode))
         # Every draw still emits its own examples.
-        assert len({e.state_ordinal for e in batch.examples}) + batch.n_skipped_states == 120
+        assert len(_by_state(batch)) + batch.n_skipped_states == 120
+
+    def test_each_draw_hashes_its_state_once(self, monkeypatch):
+        # One lookup per draw finds the state's row and labels; a first
+        # sight adds one store.
+        docs = [make_doc(2 + s % 3, np.eye(3, dtype=int)[s % 3], vocab_size=5, seed=s) for s in range(4)]
+        dim = state_dim(5, 3)
+        q = LinearQ(np.random.default_rng(11).standard_normal(5 * dim), 3, dim)
+        sampled, hashes = [], []
+        real_sample, real_hash = learn.sample_state, MdpState.__hash__
+
+        def counting_sample(*args):
+            sampled.append(real_sample(*args))
+            return sampled[-1]
+
+        def counting_hash(state):
+            hashes.append(state)
+            return real_hash(state)
+
+        monkeypatch.setattr(learn, "sample_state", counting_sample)
+        monkeypatch.setattr(MdpState, "__hash__", counting_hash)
+        build_training_set(docs, Greedy(q), MONO_LABEL, RolloutConfig(n_states=120, seed=4))
+        monkeypatch.setattr(MdpState, "__hash__", real_hash)
+        assert len(hashes) == len(sampled) + len(set(sampled)) < 2 * len(sampled)
 
     def test_random_round_rolls_out_every_draw(self, monkeypatch):
         docs = [make_doc(3, [1, 0], seed=s) for s in range(2)]
@@ -365,9 +384,9 @@ class TestBuildTrainingSet:
         docs = [make_doc(2, [1, 0, 0], seed=s) for s in range(2)]
         cfg = RolloutConfig(n_states=40, iterations=1, seed=3)
         batch = build_training_set(docs, UniformRandom(), MULTI_LABEL, cfg)
-        assert batch.examples  # sanity
-        for example in batch.examples:
-            assert example.state_features.nnz > 0
+        assert len(batch.examples)  # sanity
+        for row in batch.examples.row.tolist():
+            assert batch.examples.rows[row].nnz > 0
 
 
 class TestPolicyIteration:
@@ -398,6 +417,22 @@ class TestPolicyIteration:
         result = policy_iteration(train, MONO_LABEL, cfg)
         policy = Greedy(result.q)
         assert mean_episode_reward(held_out, policy, MONO_LABEL) >= 0.95
+
+    def test_round_examples_released_before_next_round_samples(self, monkeypatch):
+        docs = self._keyword_corpus(seed=3)[:30]
+        real_build = learn.build_training_set
+        rounds = []  # per round: a weakref to its examples, and which earlier rounds' are alive at its start
+
+        def tracking_build(*args):
+            alive = [ref() is not None for ref, _ in rounds]
+            batch = real_build(*args)
+            rounds.append((weakref.ref(batch.examples), alive))
+            return batch
+
+        monkeypatch.setattr(learn, "build_training_set", tracking_build)
+        policy_iteration(docs, MONO_LABEL, RolloutConfig(n_states=60, iterations=3, seed=2))
+        assert len(rounds) >= 2
+        assert [alive for _, alive in rounds] == [[False] * k for k in range(len(rounds))]
 
     def test_single_iteration_is_one_round(self):
         docs = self._keyword_corpus(seed=3)[:30]

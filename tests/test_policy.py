@@ -1,14 +1,16 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import live_states, make_doc, score_table, sparse
+from conftest import columns, live_states, make_doc, score_table, sparse
 from stc.corpus import MONO_LABEL, MULTI_LABEL
 from stc.features import action_block, phi_state, state_dim
 from stc.mdp import NEXT, STOP, available_actions, classify, initial_state, transition, walk
 from stc.policy import (
     ClassifierConfig,
+    Examples,
     Greedy,
     LinearQ,
     UniformRandom,
@@ -192,7 +194,7 @@ class TestTrainLinear:
     def test_separable_points(self):
         examples = [(sparse([1.0, 0.0]), 1), (sparse([0.0, 1.0]), -1)]
         cfg = ClassifierConfig(lam=1e-3, epochs=20, seed=0)
-        theta = train_linear(examples, cfg)
+        theta = train_linear(columns(examples), cfg)
         assert float(theta @ [1.0, 0.0]) > 0.0
         assert float(theta @ [0.0, 1.0]) < 0.0
 
@@ -207,7 +209,7 @@ class TestTrainLinear:
             val = hinge_objective(theta, examples, lam)
             if val < best_val:
                 best, best_val = theta, val
-        trained = train_linear(examples, ClassifierConfig(lam=lam, epochs=50, seed=1))
+        trained = train_linear(columns(examples), ClassifierConfig(lam=lam, epochs=50, seed=1))
         for x, _ in examples:
             assert np.sign(float(x.to_dense() @ trained)) == np.sign(float(x.to_dense() @ best))
         assert hinge_objective(trained, examples, lam) == pytest.approx(best_val, abs=0.05)
@@ -222,8 +224,8 @@ class TestTrainLinear:
             center = np.array([2.0, 0.5, -1.0]) * label
             examples.append((sparse(center + 0.2 * rng.standard_normal(3)), label))
         cfg = ClassifierConfig(lam=1e-2, epochs=40, seed=4)
-        theta1 = train_linear(examples, cfg)
-        theta2 = train_linear(examples + examples, cfg)
+        theta1 = train_linear(columns(examples), cfg)
+        theta2 = train_linear(columns(examples + examples), cfg)
         signs1 = [np.sign(float(x.to_dense() @ theta1)) for x, _ in examples]
         signs2 = [np.sign(float(x.to_dense() @ theta2)) for x, _ in examples]
         assert signs1 == signs2
@@ -231,13 +233,13 @@ class TestTrainLinear:
     def test_contradictory_labels_irreducible(self):
         x = sparse([1.0, 0.0])
         examples = [(x, 1), (x, -1)]
-        theta = train_linear(examples, ClassifierConfig(lam=1e-2, epochs=20, seed=0))
+        theta = train_linear(columns(examples), ClassifierConfig(lam=1e-2, epochs=20, seed=0))
         errors = sum(1 for x, y in examples if np.sign(float(x.to_dense() @ theta)) != y)
         assert errors >= 1
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="each label"):
-            train_linear([(sparse([1.0, 0.0]), 1)], ClassifierConfig())
+            train_linear(columns([(sparse([1.0, 0.0]), 1)]), ClassifierConfig())
 
     def test_deterministic(self):
         rng = np.random.default_rng(8)
@@ -249,7 +251,7 @@ class TestTrainLinear:
         if not any(label == -1 for _, label in examples):
             examples[1] = (examples[1][0], -1)
         cfg = ClassifierConfig(lam=1e-3, epochs=5, seed=12)
-        np.testing.assert_array_equal(train_linear(examples, cfg), train_linear(examples, cfg))
+        np.testing.assert_array_equal(train_linear(columns(examples), cfg), train_linear(columns(examples), cfg))
 
     def test_objective_final_not_worse_than_initial(self):
         rng = np.random.default_rng(21)
@@ -261,7 +263,7 @@ class TestTrainLinear:
         lam = 1e-3
         initial = hinge_objective(np.zeros(3), examples, lam)
         final = hinge_objective(
-            train_linear(examples, ClassifierConfig(lam=lam, epochs=10, seed=0)), examples, lam
+            train_linear(columns(examples), ClassifierConfig(lam=lam, epochs=10, seed=0)), examples, lam
         )
         assert final <= initial + 1e-6
 
@@ -309,16 +311,16 @@ class TestBlockSgd:
         examples = self._block_examples(seed=seed)
         flat = self._flat(examples, 4)
         for cfg in (ClassifierConfig(lam=1e-3, epochs=5, seed=seed), ClassifierConfig(lam=0.5, epochs=3, seed=9)):
-            block_theta = train_linear(examples, cfg, 4)
-            assert block_theta.tobytes() == train_linear(flat, cfg).tobytes()
+            block_theta = train_linear(columns(examples), cfg, 4)
+            assert block_theta.tobytes() == train_linear(columns(flat), cfg).tobytes()
             assert block_theta.tobytes() == _reference_sgd(flat, cfg).tobytes()
 
     def test_pairs_are_block_zero_of_one(self):
         examples = self._block_examples(n_blocks=1, seed=5)
         pairs = [(x, y) for x, _, y in examples]
         cfg = ClassifierConfig(lam=1e-2, epochs=4, seed=2)
-        assert train_linear(pairs, cfg).tobytes() == train_linear(examples, cfg).tobytes()
-        assert train_linear(pairs, cfg).tobytes() == _reference_sgd(pairs, cfg).tobytes()
+        assert train_linear(columns(pairs), cfg).tobytes() == train_linear(columns(examples), cfg).tobytes()
+        assert train_linear(columns(pairs), cfg).tobytes() == _reference_sgd(pairs, cfg).tobytes()
 
     def test_one_vs_rest_weights_unchanged(self):
         xs, label_matrix = TestOneVsRest()._toy_three_class()
@@ -334,18 +336,52 @@ class TestBlockSgd:
         examples = self._block_examples()
         examples[3] = (examples[3][0], block, examples[3][2])
         with pytest.raises(ValueError, match="blocks"):
-            train_linear(examples, ClassifierConfig(), 4)
+            train_linear(columns(examples), ClassifierConfig(), 4)
 
     def test_mixed_dimensions_rejected(self):
         examples = self._block_examples()
         examples.append((sparse([1.0, 2.0]), 0, 1))
         with pytest.raises(ValueError, match="dimensions"):
-            train_linear(examples, ClassifierConfig(), 4)
+            train_linear(columns(examples), ClassifierConfig(), 4)
 
     def test_single_label_rejected(self):
         examples = [(x, b, 1) for x, b, _ in self._block_examples()]
         with pytest.raises(ValueError, match="each label"):
-            train_linear(examples, ClassifierConfig(), 4)
+            train_linear(columns(examples), ClassifierConfig(), 4)
+
+    def test_no_examples_rejected(self):
+        with pytest.raises(ValueError, match="no training examples"):
+            train_linear(columns([]), ClassifierConfig(), 4)
+
+    @staticmethod
+    def _shared_rows(n_blocks, seed):
+        """Columns whose examples share a few rows, as a round's do."""
+        rng = np.random.default_rng(seed)
+        rows = [sparse(rng.standard_normal(7) * (rng.random(7) > 0.4)) for _ in range(6)]
+        n = 50
+        return Examples(
+            rows=rows,
+            row=rng.integers(len(rows), size=n),
+            block=rng.integers(n_blocks, size=n),
+            label=np.where(np.arange(n) % 3 == 0, 1, -1),
+        )
+
+    @pytest.mark.parametrize("n_blocks", [1, 4])
+    def test_shared_rows_match_the_reference_loop(self, n_blocks):
+        for seed in range(3):
+            examples = self._shared_rows(n_blocks, seed)
+            flat = self._flat(
+                [(examples.rows[r], b, y) for r, b, y in zip(examples.row, examples.block, examples.label.tolist())], n_blocks
+            )
+            cfg = ClassifierConfig(lam=1e-2, epochs=4, seed=seed)
+            assert train_linear(examples, cfg, n_blocks).tobytes() == _reference_sgd(flat, cfg).tobytes()
+
+    def test_bad_columns_rejected(self):
+        examples = self._shared_rows(4, 0)
+        with pytest.raises(ValueError, match="rows"):
+            train_linear(replace(examples, row=examples.row + len(examples.rows)), ClassifierConfig(), 4)
+        with pytest.raises(ValueError, match="length"):
+            train_linear(replace(examples, block=examples.block[:-1]), ClassifierConfig(), 4)
 
 
 class TestGradient:

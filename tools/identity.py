@@ -18,6 +18,11 @@ whether a change kept every output bit. Per seed it digests:
   multi-label mode on criterion 8's corpus, with a small plan (two
   fractions x two runs, 300 states x 2 iterations, the default baseline
   grid), so the multi-label baseline threshold and F1 cells are digested;
+- ``vectors``: every sentence vector and document vector of
+  ``train-mono``'s split and of ``grid-r8like``'s first split (its
+  smallest fraction, run 0), training side then test side, as indices
+  and values bytes in document order, so the vectors themselves are
+  held to their bytes and not only through the reports;
 - ``cli``: the files that ``stc train --method stc`` (model, telemetry),
   ``stc train --method baseline`` (model) and ``stc evaluate`` of each
   model (metrics) write, and the stdout of one ``stc trace``, for a
@@ -64,6 +69,33 @@ def _train_mono(workload, seed: int, run_dir: Path) -> dict[str, str]:
     train.setup(seed, run_dir)
     out = train.run()
     return _learner_digests(out["result"], out["logs"])
+
+
+def _split_vectors(raw, fraction: float, seed: int, mode: str) -> str:
+    """One digest of every vector of the first split at ``fraction``."""
+    from stc import corpus
+
+    split = corpus.make_splits(raw, fraction, 1, seed)[0]
+    _, train, test = corpus.prepare_split(raw, corpus.CategorySet.from_documents(raw), split, mode)
+    h = hashlib.sha256()
+    for doc in train + test:
+        for vector in [*doc.sentence_vectors, doc.global_vector]:
+            h.update(vector.indices.tobytes())
+            h.update(b"|")
+            h.update(vector.values.tobytes())
+            h.update(b"\n")
+    return h.hexdigest()
+
+
+def _vectors(workload, seed: int, run_dir: Path) -> dict[str, str]:
+    digests = {}
+    for name, spec, fraction, mode in (
+        ("train-mono", workload.TrainWorkload.spec, workload.TrainWorkload.fraction, "mono"),
+        ("grid-r8like", workload.GridWorkload.spec, workload.GridWorkload.config["fractions"][0], workload.GridWorkload.config["mode"]),
+    ):
+        raw, _ = workload._load_inputs(spec, seed, run_dir / name)
+        digests[name] = _split_vectors(raw, fraction, seed, mode)
+    return digests
 
 
 def _criterion_8_corpus():
@@ -180,9 +212,10 @@ def main(argv=None) -> int:
 
     for seed in _seeds(args.seeds):
         with tempfile.TemporaryDirectory() as tmp:
-            mono_dir, grid_dir, multi_dir, cli_dir = (Path(tmp, name) for name in ("mono", "grid", "grid-multi", "cli"))
-            for run_dir in (mono_dir, grid_dir, multi_dir, cli_dir):
-                run_dir.mkdir()
+            names = ("mono", "grid", "grid-multi", "cli", "vectors/train-mono", "vectors/grid-r8like")
+            for name in names:
+                Path(tmp, name).mkdir(parents=True)
+            mono_dir, grid_dir, multi_dir, cli_dir = (Path(tmp, name) for name in names[:4])
             record = {
                 "seed": seed,
                 "train-mono": _train_mono(workload, seed, mono_dir),
@@ -190,6 +223,7 @@ def main(argv=None) -> int:
                 "grid-r8like": _grid(workload, seed, grid_dir),
                 "grid-multi": _grid_multi(seed, multi_dir),
                 "cli": _cli(seed, cli_dir),
+                "vectors": _vectors(workload, seed, Path(tmp, "vectors")),
             }
         print(json.dumps(record, sort_keys=True), flush=True)
     return 0
