@@ -23,9 +23,9 @@ import numpy as np
 from . import corpus as corpus_mod
 from .baseline import predict_baseline_matrix, train_baseline
 from .corpus import CategorySet, Document, RawDocument, Split, TaskMode
-from .learn import RolloutConfig, derived_seed, policy_iteration
-from .mdp import EpisodeLog, prf1_from_counts, run_episode
-from .policy import ClassifierConfig, Greedy, policy_callable
+from .learn import RolloutConfig, derived_seed, episode_log, policy_iteration
+from .mdp import EpisodeLog, prf1_from_counts
+from .policy import ClassifierConfig, Greedy
 
 __all__ = [
     "Prediction",
@@ -128,12 +128,12 @@ def reading_histogram(logs: list[EpisodeLog], n_bins: int) -> list[tuple[float, 
 def evaluate_policy(
     q_policy: Greedy, docs: list[Document], mode: TaskMode
 ) -> tuple[list[Prediction], list[EpisodeLog]]:
-    """Run greedy episodes over a document set, collecting predictions and logs."""
-    step = policy_callable(q_policy, mode)
+    """Run greedy episodes over a document set, collecting predictions and
+    logs. Mono episodes are cursor scans, multi-label ones walk."""
     preds: list[Prediction] = []
     logs: list[EpisodeLog] = []
     for doc in docs:
-        log = run_episode(doc, step, mode)
+        log = episode_log(doc, q_policy, mode)
         preds.append(Prediction(doc.id, tuple(doc.y.tolist()), log.final_assigned))
         logs.append(log)
     return preds, logs

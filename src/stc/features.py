@@ -122,7 +122,7 @@ class ScoreRows:
     Adding ``blocks[:, 2V:] @ assigned`` gives every action's full score.
 
     ``row(p)`` computes the rows missing up to p, carrying the running sum
-    of the mean parts one sentence at a time, so a walk that stops at
+    of the mean parts one sentence at a time, so an episode that stops at
     cursor p costs p rows. Each sum, division and matvec is the one a
     whole-document ``np.cumsum`` table would do, in the same order.
     """

@@ -8,9 +8,10 @@ the linear action scorer to separate them. The greedy policy of the
 fitted scorer becomes the next round's policy.
 
 From round 2 on the policy is greedy and draws nothing, so its rollouts
-are exact. Such a round walks each document's episode once and keeps on
-the policy V^pi (the final F1) of every live state a walk visits; a
-rollout is then V^pi of the action's successor. The candidate's
+are exact. Such a round runs each document's episode once and keeps on
+the policy V^pi (the final F1) of every live state it visits, as the
+walked state's value (multi-label) or the scanned outcome of its cursor
+(mono); a rollout is then V^pi of the action's successor. The candidate's
 training-reward episodes are the ones the next round samples from. A
 greedy state's labels are fixed within the round, so each distinct
 sampled state is labelled once, however often it is drawn. The round's
@@ -21,29 +22,48 @@ of theta and its label, so no per-example object is built. A round's
 examples are released once they are fitted, before the next round
 samples.
 
+A mono-label episode from a state with nothing assigned is fixed by its
+outcome (q, k): the policy reads on to cursor q, then assigns category k
+there (k < C) or stops with nothing assigned (k = C). Such episodes are
+cursor scans that build no per-step state. The greedy scan takes the
+first maximum of each cursor's score row over the legal blocks, grows
+the rows only as far as it reaches, and is memoized per (document,
+cursor) on the policy. The random scan makes the draw a walk makes at
+each cursor, so the generator moves exactly as it would in a walk. An
+outcome's F1 is read from a per-document table kept on the policy
+(``mono_f1``). State sampling builds only the state it draws; rollouts
+from a live state with nothing assigned, mean episode rewards and
+evaluation logs read the scan. Multi-label episodes, rollouts against labels other than the document's
+own and traces walk (``mdp.walk``); a multi-label rollout of the
+first-round random policy keeps only the final assignment of its walk.
+
 Per-state randomness is drawn from a stream derived from (seed, state
 ordinal), so the sampled workload is independent of scheduling and the
 first n states of a larger budget coincide with a smaller one's.
-
-A rollout of the first-round random policy keeps only the final
-assignment of its walk, not the states it passed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from itertools import chain
 
 import numpy as np
 
 from . import features
-from .corpus import Document, TaskMode
+from .corpus import MONO_LABEL, Document, TaskMode
 from .mdp import (
+    NEXT,
+    STOP,
     Action,
+    EpisodeLog,
     MdpState,
     available_actions,
+    check_action,
+    classify,
     initial_state,
     prf1,
+    run_episode,
     steps,
     transition,
     walk,
@@ -67,6 +87,7 @@ __all__ = [
     "rollout_return",
     "build_training_set",
     "mean_episode_reward",
+    "episode_log",
     "derived_seed",
     "policy_iteration",
 ]
@@ -147,17 +168,99 @@ def _episode(
     return states
 
 
+def _mono_assigned(k: int, n_categories: int) -> tuple[int, ...]:
+    """The assignment of mono outcome k: category k alone, or none when k = C."""
+    assigned = [0] * n_categories
+    if k < n_categories:
+        assigned[k] = 1
+    return tuple(assigned)
+
+
+def _mono_f1(doc: Document, policy: Policy) -> list[float]:
+    """F1 against ``doc.y`` of each mono outcome k = 0..C, by ``prf1``,
+    kept on the policy."""
+    table = policy.mono_f1.get(doc)
+    if table is None:
+        n_categories = len(doc.y)
+        table = policy.mono_f1[doc] = [prf1(doc.y, _mono_assigned(k, n_categories))[2] for k in range(n_categories + 1)]
+    return table
+
+
+def _greedy_outcome(doc: Document, p: int, policy: Greedy) -> tuple[int, int]:
+    """The outcome of the greedy mono episode from (doc, p, nothing
+    assigned), recorded for every cursor the scan passes."""
+    outcomes = policy.outcomes
+    n_categories = len(doc.y)
+    passed = []
+    q = p
+    outcome = outcomes.get((doc, q))
+    while outcome is None:
+        scores = policy.q.score_rows(doc).row(q).tolist()
+        if q == doc.n_sentences:
+            scores[n_categories] = -math.inf  # next is illegal on the last sentence
+        best = max(range(n_categories + 2), key=scores.__getitem__)  # the first maximum
+        passed.append(q)
+        if best != n_categories:
+            outcome = (q, min(best, n_categories))  # classify(best), or stop
+        else:
+            q += 1
+            outcome = outcomes.get((doc, q))
+    for cursor in passed:
+        outcomes[(doc, cursor)] = outcome
+    return outcome
+
+
+def _random_outcome(doc: Document, p: int, rng: np.random.Generator) -> tuple[int, int]:
+    """The outcome of a uniform-random mono episode from (doc, p, nothing
+    assigned). Each cursor draws the index of the walk's action among
+    classify(0..C-1), next (before the last sentence) and stop; the stop
+    forced after a classify draws nothing."""
+    n_categories, last = len(doc.y), doc.n_sentences
+    integers = rng.integers
+    q = p
+    while True:
+        i = int(integers(n_categories + 2 if q < last else n_categories + 1))
+        if i < n_categories:
+            return q, i
+        if i > n_categories or q == last:
+            return q, n_categories
+        q += 1
+
+
+def _mono_outcome(
+    doc: Document, p: int, policy: Policy, rng: np.random.Generator | None = None
+) -> tuple[int, int]:
+    """The outcome (q, k) of the policy's mono episode from (doc, p,
+    nothing assigned): read on to cursor q, then assign category k there,
+    or stop when k = C."""
+    if isinstance(policy, Greedy):
+        return _greedy_outcome(doc, p, policy)
+    if rng is None:
+        raise ValueError("a uniform-random policy needs an rng")
+    return _random_outcome(doc, p, rng)
+
+
 def sample_state(
     train_docs: list[Document],
     policy: Policy,
     mode: TaskMode,
     rng: np.random.Generator,
 ) -> MdpState:
-    """Pick a training document uniformly, walk the policy's trajectory on
-    it, and return one of the visited live states uniformly."""
+    """Pick a training document uniformly, run the policy's episode on it,
+    and return one of the visited live states uniformly. A mono episode
+    is scanned, and only the drawn state is built."""
     doc = train_docs[int(rng.integers(len(train_docs)))]
-    live = _episode(doc, policy, mode, rng)[:-1]
-    return live[int(rng.integers(len(live)))]
+    if mode != MONO_LABEL:
+        live = _episode(doc, policy, mode, rng)[:-1]
+        return live[int(rng.integers(len(live)))]
+    q, k = _mono_outcome(doc, 1, policy, rng)
+    n_categories = len(doc.y)
+    # The live states: cursors 1..q with nothing assigned, then (q, {k})
+    # after a classify.
+    i = int(rng.integers(q + (k < n_categories)))
+    if i < q:
+        return MdpState(doc, i + 1, (0,) * n_categories)
+    return MdpState(doc, q, _mono_assigned(k, n_categories))
 
 
 def rollout_return(
@@ -176,19 +279,36 @@ def rollout_return(
     exact: V^pi of the successor state, from the policy's memo when a
     walk has already passed through it. The memo scores against the
     document's own labels, so it serves only calls whose ``y`` is
-    ``state.doc.y``. The n equal returns are still summed one by one,
-    which gives the bits of n rollouts, not those of the single value.
+    ``state.doc.y``; so does the mono table of outcome F1s. In a live
+    mono state with nothing assigned, classify and stop end the episode
+    and next continues with a scan from p + 1. The n returns are summed
+    one by one, which gives the bits of n rollouts even when they are
+    equal.
     """
-    successor = transition(state, first_action, mode)
-    if isinstance(policy, Greedy) and y is state.doc.y:
-        returns = [_greedy_value(successor, policy, mode)] * n_rollouts
+    if mode == MONO_LABEL and y is state.doc.y and not state.halted and not any(state.assigned):
+        returns = _mono_returns(state, first_action, policy, rng, n_rollouts)
+    elif isinstance(policy, Greedy) and y is state.doc.y:
+        returns = [_greedy_value(transition(state, first_action, mode), policy, mode)] * n_rollouts
     else:
+        successor = transition(state, first_action, mode)
         step = policy_callable(policy, mode, rng)
         returns = (prf1(y, _final_state(successor, step, mode).assigned)[2] for _ in range(n_rollouts))
     total = 0.0
     for value in returns:
         total += value
     return total / n_rollouts
+
+
+def _mono_returns(state: MdpState, action: Action, policy: Policy, rng: np.random.Generator, n_rollouts: int):
+    """The n rollout returns of ``action`` in a live mono state with
+    nothing assigned; random rollouts draw in rollout order. An illegal
+    action raises."""
+    check_action(state, action, MONO_LABEL)
+    doc = state.doc
+    f1 = _mono_f1(doc, policy)
+    if action.kind == "next":
+        return (f1[_mono_outcome(doc, state.p + 1, policy, rng)[1]] for _ in range(n_rollouts))
+    return [f1[action.category if action.kind == "classify" else len(doc.y)]] * n_rollouts
 
 
 def _final_state(state: MdpState, step, mode: TaskMode) -> MdpState:
@@ -281,8 +401,31 @@ def build_training_set(
 
 def mean_episode_reward(docs: list[Document], policy: Policy, mode: TaskMode) -> float:
     """Mean episode reward of a policy over a document set. A greedy
-    policy keeps the episodes, for the next round to sample states from."""
-    return float(np.mean([prf1(doc.y, _episode(doc, policy, mode)[-1].assigned)[2] for doc in docs]))
+    policy keeps the episodes (multi-label) or their outcomes (mono), for
+    the next round to sample states from."""
+    if mode == MONO_LABEL:
+        rewards = [_mono_f1(doc, policy)[_mono_outcome(doc, 1, policy)[1]] for doc in docs]
+    else:
+        rewards = [prf1(doc.y, _episode(doc, policy, mode)[-1].assigned)[2] for doc in docs]
+    return float(np.mean(rewards))
+
+
+def episode_log(doc: Document, policy: Greedy, mode: TaskMode) -> EpisodeLog:
+    """The log of the greedy episode on ``doc``: a mono episode is read off
+    its scanned outcome, a multi-label one is walked (``run_episode``)."""
+    if mode != MONO_LABEL:
+        return run_episode(doc, policy_callable(policy, mode), mode)
+    q, k = _mono_outcome(doc, 1, policy)
+    n_categories = len(doc.y)
+    assigned = _mono_assigned(k, n_categories)
+    return EpisodeLog(
+        doc_id=doc.id,
+        actions=(NEXT,) * (q - 1) + ((classify(k), STOP) if k < n_categories else (STOP,)),
+        sentences_read=q,
+        n_sentences=doc.n_sentences,
+        final_assigned=assigned,
+        reward=prf1(doc.y, assigned)[2],
+    )
 
 
 def derived_seed(*parts: int) -> int:

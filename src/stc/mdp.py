@@ -11,11 +11,13 @@ In mono-label mode assigning a label restricts the remaining action set
 to {stop}, so an episode carries at most one assignment and its reward is
 the 0/1 accuracy of that choice.
 
-``steps`` is the one episode loop: it follows a policy from any state to
-the halting state. ``walk`` collects its states and actions, and
-episodes, state sampling, rollouts and traces all read their
-trajectories from it; a rollout that needs only the final assignment
-keeps nothing else.
+``steps`` follows a policy from any state to the halting state, and
+``walk`` collects its states and actions. Multi-label episodes, traces
+and arbitrary policy callables walk; a rollout that needs only the final
+assignment keeps nothing else. A mono-label episode of a built-in policy
+is fixed by the cursor where the policy stops reading and what it does
+there, so ``learn`` runs it as a cursor scan that builds no per-step
+state, and ``walk`` is the reference it is tested against.
 
 The hot path builds no per-step action objects: ``classify(k)`` returns
 one interned action per k, and ``available_actions`` returns one interned
@@ -42,6 +44,7 @@ __all__ = [
     "classify",
     "initial_state",
     "available_actions",
+    "check_action",
     "transition",
     "is_terminal",
     "prf1",
@@ -63,16 +66,6 @@ class Action:
         if self.kind == "classify":
             return f"classify:{self.category}"
         return self.kind
-
-    @staticmethod
-    def parse(text: str) -> "Action":
-        if text == "next":
-            return NEXT
-        if text == "stop":
-            return STOP
-        if text.startswith("classify:"):
-            return classify(int(text.split(":", 1)[1]))
-        raise ValueError(f"unknown action {text!r}")
 
 
 NEXT = Action("next")
@@ -183,11 +176,16 @@ def _is_legal(state: MdpState, action: Action, mode: TaskMode) -> bool:
     return action.kind == "stop"
 
 
+def check_action(state: MdpState, action: Action, mode: TaskMode) -> None:
+    """Raise ``ValueError`` unless ``action`` is legal in ``state``."""
+    if not _is_legal(state, action, mode):
+        raise ValueError(f"action {action} is illegal in state (p={state.p}, assigned={state.assigned})")
+
+
 def transition(state: MdpState, action: Action, mode: TaskMode) -> MdpState:
     """Apply one action, returning a fresh state (inputs are untouched).
     An illegal action raises."""
-    if not _is_legal(state, action, mode):
-        raise ValueError(f"action {action} is illegal in state (p={state.p}, assigned={state.assigned})")
+    check_action(state, action, mode)
     return _successor(state, action)
 
 

@@ -13,8 +13,9 @@ only when some label is assigned: with none, it is a sum of ±0 terms,
 and adding ±0 changes no comparison. ``block_scores``, ``q_value`` and
 ``action_scores`` always add it. Its theta is a private, read-only copy,
 so rows grown at different times share one theta. A greedy policy draws
-no randomness, so its episodes and state values are fixed; it carries
-dicts where ``learn`` keeps them for the one round the policy drives.
+no randomness, so its episodes, state values and mono episode outcomes
+are fixed; it carries dicts where ``learn`` keeps them for the one round
+the policy drives.
 
 The classifier minimizes an L2-regularized hinge loss by stochastic
 subgradient descent with step size 1/(lambda*t). Its weight vector is
@@ -121,17 +122,27 @@ class ClassifierConfig:
 @dataclass(frozen=True)
 class Greedy:
     q: LinearQ
-    # Filled by ``learn`` while the policy drives a round. ``episodes`` maps
-    # (document identity, mode) to the states of the policy's episode;
-    # ``values`` maps (document identity, mode, p, assigned) to V^pi, the
-    # final F1 of the episode continuing from that live state.
+    # Filled by ``learn`` while the policy drives a round. Multi-label
+    # episodes walk: ``episodes`` maps (document identity, mode) to the
+    # states of the policy's episode, and ``values`` maps (document
+    # identity, mode, p, assigned) to V^pi, the final F1 of the episode
+    # continuing from that live state. Mono episodes are cursor scans:
+    # ``outcomes`` maps (document identity, p) to the outcome (q, k) of the
+    # episode from cursor p with nothing assigned, which reads on to cursor
+    # q and then assigns category k there, or stops when k = C; ``mono_f1``
+    # maps document identity to the F1 of each outcome k = 0..C.
     episodes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     values: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    outcomes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    mono_f1: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
 class UniformRandom:
-    """Uniform choice among the legal actions; the caller supplies the rng."""
+    """Uniform choice among the legal actions; the caller supplies the rng.
+    ``mono_f1`` is filled by ``learn`` as on ``Greedy``."""
+
+    mono_f1: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 Policy = Greedy | UniformRandom

@@ -9,6 +9,12 @@ draws on every random step and builds each successor through
 ``MdpState``, and require the same states, the same actions and the same
 rng state afterwards. They also hold the interned action tuples to the
 list the old ``available_actions`` built.
+
+Mono-label episodes are cursor scans (``learn``), not walks. The same
+reference walk is their oracle: the scanned outcome (the cursor the
+episode reads on to, then the category it assigns there or C for a
+stop), the state a sample draws, and every legal action's rollout
+return, with the same rng state afterwards.
 """
 
 import itertools
@@ -17,8 +23,10 @@ import numpy as np
 import pytest
 
 from conftest import ScriptedPolicy, make_doc
+from stc import learn
 from stc.corpus import MONO_LABEL, MULTI_LABEL
 from stc.features import action_block, state_dim
+from stc.learn import rollout_return, sample_state
 from stc.mdp import (
     NEXT,
     STOP,
@@ -27,6 +35,7 @@ from stc.mdp import (
     available_actions,
     classify,
     initial_state,
+    prf1,
     transition,
     walk,
 )
@@ -144,7 +153,6 @@ def test_classify_is_interned():
     for k in range(10):
         assert classify(k) is classify(k)
         assert classify(k) == Action("classify", k)
-        assert Action.parse(f"classify:{k}") is classify(k)
 
 
 def test_foreign_callables_are_still_checked():
@@ -221,3 +229,162 @@ def test_transition_matches_the_legal_step():
                 assigned[action.category] = 1
             want = MdpState(state.doc, state.p + (action.kind == "next"), tuple(assigned), action.kind == "stop")
             assert successor == want
+
+
+def mono_docs(seed, count):
+    """Mono documents with C in 1..8, 1..7 sentences and one true label."""
+    rng = np.random.default_rng(seed)
+    for trial in range(count):
+        n_cats, n_sents = int(rng.integers(1, 9)), int(rng.integers(1, 8))
+        y = np.zeros(n_cats, dtype=np.int8)
+        y[int(rng.integers(n_cats))] = 1
+        yield make_doc(n_sents, y, vocab_size=VOCAB, seed=trial, doc_id=f"m{trial}"), n_cats, rng
+
+
+def mono_theta(n_cats, rng, ties):
+    """Random weights; "classify" ties every classify block and zeroes
+    next, "all" makes every block equal, so all scores tie."""
+    theta = random_q(n_cats, rng, ties=ties == "classify").theta.copy()
+    if ties == "all":
+        blocks = theta.reshape(n_cats + 2, -1)
+        blocks[1:] = blocks[0]
+    return theta
+
+
+def walked_outcome(states, actions):
+    """(cursor read on to, category assigned there or C for a stop)."""
+    final = states[-1]
+    k = next((a.category for a in actions if a.kind == "classify"), len(final.assigned))
+    return final.p, k
+
+
+def unassigned(doc, p):
+    return MdpState(doc, p, (0,) * len(doc.y))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_greedy_scan_matches_the_walk(seed):
+    seen = set()
+    for doc, n_cats, rng in mono_docs(seed, 150):
+        for ties in ("none", "classify", "all"):
+            theta = mono_theta(n_cats, rng, ties)
+            dim = state_dim(VOCAB, n_cats)
+            # The first scan from cursor 1 grows the rows only as far as it reads.
+            first = Greedy(LinearQ(theta, n_cats, dim))
+            outcome = learn._mono_outcome(doc, 1, first)
+            assert first.q.score_rows(doc).filled == outcome[0]
+            # Any order of start cursors, so later scans meet the memo part-way.
+            scanned = Greedy(LinearQ(theta, n_cats, dim))
+            for p in (rng.permutation(doc.n_sentences) + 1).tolist():
+                ref = reference_walk(unassigned(doc, p), Greedy(LinearQ(theta, n_cats, dim)), MONO_LABEL, None)
+                want = walked_outcome(*ref)
+                assert learn._mono_outcome(doc, p, scanned) == want
+                assert scanned.outcomes[(doc, p)] == want
+                q, k = want
+                seen.add(("classify at 1" if q == 1 and k < n_cats else "stop" if k == n_cats else "classify later"))
+                if q == doc.n_sentences > p:
+                    seen.add("read to the last sentence")
+                if ties != "none" and k < n_cats:
+                    seen.add(f"tie {ties}")
+    assert seen == {"classify at 1", "stop", "classify later", "read to the last sentence", "tie classify", "tie all"}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_random_scan_matches_the_walk(seed):
+    seen = set()
+    for trial, (doc, n_cats, _) in enumerate(mono_docs(seed, 150)):
+        rng_scan, rng_walk = np.random.default_rng([seed, trial]), np.random.default_rng([seed, trial])
+        for p in list(range(1, doc.n_sentences + 1)) * 3:
+            want = walked_outcome(*reference_walk(unassigned(doc, p), UniformRandom(), MONO_LABEL, rng_walk))
+            assert learn._mono_outcome(doc, p, UniformRandom(), rng_scan) == want
+            assert rng_scan.bit_generator.state == rng_walk.bit_generator.state
+            seen.add("stop" if want[1] == n_cats else "classify")
+            if want[0] == doc.n_sentences > p:
+                seen.add("read to the last sentence")
+    assert seen == {"stop", "classify", "read to the last sentence"}
+    with pytest.raises(ValueError, match="needs an rng"):
+        learn._mono_outcome(doc, 1, UniformRandom())
+
+
+def test_mono_sample_matches_a_walked_sample():
+    n_cats = 4
+    labels = np.eye(n_cats, dtype=np.int8)
+    docs = [make_doc(1 + s % 7, labels[s % n_cats], vocab_size=VOCAB, seed=s, doc_id=f"s{s}") for s in range(9)]
+    theta = mono_theta(n_cats, np.random.default_rng(8), "none")
+    for policy, reference in policy_pairs(theta, n_cats):
+        for i in range(300):
+            rng_scan, rng_walk = np.random.default_rng([5, i]), np.random.default_rng([5, i])
+            got = sample_state(docs, policy, MONO_LABEL, rng_scan)
+            doc = docs[int(rng_walk.integers(len(docs)))]
+            live = reference_walk(initial_state(doc), reference, MONO_LABEL, rng_walk)[0][:-1]
+            want = live[int(rng_walk.integers(len(live)))]
+            assert type(got) is MdpState and _fields([got]) == _fields([want]) and hash(got) == hash(want)
+            assert rng_scan.bit_generator.state == rng_walk.bit_generator.state
+
+
+def policy_pairs(theta, n_cats):
+    """(policy under test, reference policy) for the greedy policy of
+    theta and for the uniform-random one; the two never share a memo."""
+    dim = state_dim(VOCAB, n_cats)
+    return (Greedy(LinearQ(theta, n_cats, dim)), Greedy(LinearQ(theta, n_cats, dim))), (UniformRandom(), UniformRandom())
+
+
+def walked_return(state, action, policy, y, rng, n_rollouts):
+    total = 0.0
+    for _ in range(n_rollouts):
+        final = reference_walk(transition(state, action, MONO_LABEL), policy, MONO_LABEL, rng)[0][-1]
+        total += prf1(y, final.assigned)[2]
+    return total / n_rollouts
+
+
+@pytest.mark.parametrize("n_rollouts", [1, 3])
+def test_mono_rollouts_match_walked_rollouts(n_rollouts):
+    for trial, (doc, n_cats, rng) in enumerate(mono_docs(10 + n_rollouts, 80)):
+        theta = mono_theta(n_cats, rng, ("none", "classify", "all")[trial % 3])
+        for policy, reference in policy_pairs(theta, n_cats):
+            rng_scan, rng_walk = np.random.default_rng([n_rollouts, trial]), np.random.default_rng([n_rollouts, trial])
+            states = [unassigned(doc, p) for p in range(1, doc.n_sentences + 1)]
+            states.append(MdpState(doc, doc.n_sentences, tuple(int(k == n_cats - 1) for k in range(n_cats))))
+            for state in states:
+                # Every legal action in action order, then rollout order.
+                got = [
+                    rollout_return(state, a, policy, doc.y, MONO_LABEL, rng_scan, n_rollouts)
+                    for a in available_actions(state, MONO_LABEL)
+                ]
+                want = [
+                    walked_return(state, a, reference, doc.y, rng_walk, n_rollouts)
+                    for a in reference_actions(state, MONO_LABEL)
+                ]
+                assert got == want
+                assert rng_scan.bit_generator.state == rng_walk.bit_generator.state
+
+
+def test_mono_rollout_of_an_illegal_action_raises():
+    doc = make_doc(3, [0, 1, 0], vocab_size=VOCAB)
+    q = random_q(3, np.random.default_rng(2))
+    for policy in (Greedy(q), UniformRandom()):
+        for state, action in (
+            (unassigned(doc, 3), NEXT),
+            (unassigned(doc, 1), Action("classify", 3)),
+            (MdpState(doc, 2, (0, 0, 0), True), STOP),
+        ):
+            with pytest.raises(ValueError, match="illegal"):
+                rollout_return(state, action, policy, doc.y, MONO_LABEL, np.random.default_rng(0))
+
+
+def test_mono_rollout_against_foreign_labels_walks(monkeypatch):
+    def no_table(doc, policy):
+        raise AssertionError("a foreign y must not read the document's outcome table")
+
+    monkeypatch.setattr(learn, "_mono_f1", no_table)
+    doc = make_doc(4, [0, 1, 0], vocab_size=VOCAB, seed=3)
+    theta = random_q(3, np.random.default_rng(4)).theta
+    for y in (doc.y.copy(), np.array([1, 1, 0], dtype=np.int8)):
+        for policy, reference in policy_pairs(theta, 3):
+            rng_scan, rng_walk = np.random.default_rng(6), np.random.default_rng(6)
+            for p in range(1, 5):
+                state = unassigned(doc, p)
+                for action in available_actions(state, MONO_LABEL):
+                    got = rollout_return(state, action, policy, y, MONO_LABEL, rng_scan, 2)
+                    assert got == walked_return(state, action, reference, y, rng_walk, 2)
+            assert rng_scan.bit_generator.state == rng_walk.bit_generator.state

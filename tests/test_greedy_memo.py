@@ -87,7 +87,8 @@ def test_greedy_training_set_equals_fresh_walks(instance, rollouts):
         batch = build_training_set(docs, policy, mode, cfg)
         want = _fresh_walk_training_set(docs, q, mode, cfg)
         _assert_same_rows(_expanded_rows(batch, n_categories), want)
-        assert policy.values, "greedy rollouts should fill the memo"
+        memo = policy.outcomes if mode == MONO_LABEL else policy.values
+        assert memo, "greedy rollouts should fill the memo"
 
 
 def test_memo_reuses_the_candidate_episodes():
@@ -107,6 +108,26 @@ def test_memo_reuses_the_candidate_episodes():
     step = policy_callable(Greedy(q), mode)
     fresh = [prf1(d.y, walk(initial_state(d), step, mode)[0][-1].assigned)[2] for d in docs]
     assert reward == float(np.mean(fresh))
+
+
+def test_mono_memo_reuses_the_scanned_outcomes():
+    # mean_episode_reward scans each document once; sampling states from
+    # the same policy then reads the outcomes, growing no score rows.
+    docs, mode = _instances()[0]
+    dim = state_dim(5, 3)
+    theta = np.random.default_rng(3).standard_normal(5 * dim)
+    theta[3 * dim : 4 * dim] += 1.0  # a lead for next: some episodes read on, some classify at once
+    policy = Greedy(LinearQ(theta, 3, dim))
+    reward = mean_episode_reward(docs, policy, mode)
+    filled = {doc: rows.filled for doc, rows in policy.q._tables.items()}
+    assert len(filled) == len(docs) and max(filled.values()) > 1
+    step = policy_callable(Greedy(LinearQ(theta, 3, dim)), mode)
+    episodes = {doc: walk(initial_state(doc), step, mode)[0] for doc in docs}
+    for i in range(20):
+        state = sample_state(docs, policy, mode, np.random.default_rng([1, i]))
+        assert state in episodes[state.doc][:-1]
+    assert {doc: rows.filled for doc, rows in policy.q._tables.items()} == filled
+    assert reward == float(np.mean([prf1(d.y, episodes[d][-1].assigned)[2] for d in docs]))
 
 
 def _classify_everything_policy(n_categories, dim):

@@ -9,6 +9,9 @@ whether a change kept every output bit. Per seed it digests:
 
 - ``train-mono``: the benchmark workload's fitted theta bytes, its
   per-round telemetry and its test-side episode logs;
+- ``train-mono-r3``: the same three for ``train-mono``'s split and
+  settings with three rollouts per state, so the order in which several
+  random rollouts of one state draw is held to its bits;
 - ``multi``: the same three for a multi-label ``policy_iteration`` on
   acceptance criterion 8's corpus and split, with the library's default
   rollout settings and rollout seed = the seed;
@@ -69,6 +72,23 @@ def _train_mono(workload, seed: int, run_dir: Path) -> dict[str, str]:
     train.setup(seed, run_dir)
     out = train.run()
     return _learner_digests(out["result"], out["logs"])
+
+
+def _train_mono_r3(workload, seed: int, run_dir: Path) -> dict[str, str]:
+    from stc import corpus, evaluation, learn, policy
+
+    train = workload.TrainWorkload()
+    train.setup(seed, run_dir)
+    split = corpus.make_splits(train.raw, train.fraction, 1, seed)[0]
+    by_id = {d.id: d for d in train.raw}
+    train_raw = [by_id[i] for i in split.train_ids]
+    vocab = corpus.build_vocabulary(train_raw)
+    train_docs = corpus.vectorize_corpus(train_raw, vocab, train.categories, "mono")
+    test_docs = corpus.vectorize_corpus([by_id[i] for i in split.test_ids], vocab, train.categories, "mono")
+    cfg = learn.RolloutConfig(n_states=train.n_states, rollouts_per_state=3, iterations=train.iterations, seed=seed)
+    result = learn.policy_iteration(train_docs, "mono", cfg)
+    _, logs = evaluation.evaluate_policy(policy.Greedy(result.q), test_docs, "mono")
+    return _learner_digests(result, logs)
 
 
 def _split_vectors(raw, fraction: float, seed: int, mode: str) -> str:
@@ -212,13 +232,14 @@ def main(argv=None) -> int:
 
     for seed in _seeds(args.seeds):
         with tempfile.TemporaryDirectory() as tmp:
-            names = ("mono", "grid", "grid-multi", "cli", "vectors/train-mono", "vectors/grid-r8like")
+            names = ("mono", "mono-r3", "grid", "grid-multi", "cli", "vectors/train-mono", "vectors/grid-r8like")
             for name in names:
                 Path(tmp, name).mkdir(parents=True)
-            mono_dir, grid_dir, multi_dir, cli_dir = (Path(tmp, name) for name in names[:4])
+            mono_dir, mono_r3_dir, grid_dir, multi_dir, cli_dir = (Path(tmp, name) for name in names[:5])
             record = {
                 "seed": seed,
                 "train-mono": _train_mono(workload, seed, mono_dir),
+                "train-mono-r3": _train_mono_r3(workload, seed, mono_r3_dir),
                 "multi": _multi(seed),
                 "grid-r8like": _grid(workload, seed, grid_dir),
                 "grid-multi": _grid_multi(seed, multi_dir),
