@@ -208,12 +208,15 @@ def cmd_trace(args) -> int:
     if record["kind"] != "policy":
         _eprint("trace: only reading-agent models have episode traces")
         return EXIT_VALIDATION
+    vocab = Vocabulary.from_record(record["metadata"]["vocabulary"])
+    if vocab.checksum() != record["vocab_checksum"]:
+        _eprint("trace: vocabulary checksum mismatch: the model's stored vocabulary is not the one it was trained on")
+        return EXIT_VALIDATION
     raw_docs = _load_corpus(args.corpus)
     matches = [d for d in raw_docs if d.id == args.doc_id]
     if not matches:
         _eprint(f"trace: document id {args.doc_id!r} not found in {args.corpus}")
         return EXIT_VALIDATION
-    vocab = Vocabulary.from_record(record["metadata"]["vocabulary"])
     categories = CategorySet(tuple(record["categories"]))
     mode = record["mode"]
     doc = corpus_mod.vectorize_corpus(matches, vocab, categories, mode)[0]

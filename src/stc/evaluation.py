@@ -129,7 +129,7 @@ def evaluate_policy(
     q_policy: Greedy, docs: list[Document], mode: TaskMode
 ) -> tuple[list[Prediction], list[EpisodeLog]]:
     """Run greedy episodes over a document set, collecting predictions and
-    logs. Mono episodes are cursor scans, multi-label ones walk."""
+    logs, each read off the episode's live pairs (``learn.episode_log``)."""
     preds: list[Prediction] = []
     logs: list[EpisodeLog] = []
     for doc in docs:

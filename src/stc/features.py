@@ -4,23 +4,24 @@ The state representation concatenates three blocks: the mean of the
 sentence vectors read so far (through the cursor inclusive), the vector
 of the sentence under the cursor, and the current binary assignment
 vector. An action is encoded positionally: the state vector is copied
-into one of C + 2 disjoint blocks of a larger vector, indexed
-classify(k) -> k, next -> C, stop -> C + 1, so a single weight vector
-scores every action independently.
+into one of C + 2 disjoint blocks of a larger vector, in the block order
+``mdp`` owns (``action_block``), so a single weight vector scores every
+action independently.
 
 A block's score is linear in the state, so its mean and last-sentence
 parts depend only on (document, cursor). ``ScoreRows`` computes them
 cursor by cursor, only up to the furthest cursor asked for; the greedy
-policy scores its steps from those rows and never builds a feature
-vector; each row reads its sentence vector once, and the vocabulary
-size is kept on the rows object, so a step reads plain attributes. A
-training example is a state's feature vector plus the action's block
-index, and the fit reads that block of the weights. ``phi_states``
-builds the feature vectors of a whole round's states as the rows of one
-CSR block, the ``rows`` of the round's ``policy.Examples``; ``phi_state``
-is its one-row case. ``phi_state_action`` builds the flat vector of the
-same example, the state features moved into the action's block; it is
-the oracle the block form is checked against.
+choice (``policy.choose``) scores a state from those rows and never
+builds a feature vector; each row reads its sentence vector once, and
+the vocabulary size is kept on the rows object, so a step reads plain
+attributes. A training example is a state's feature vector plus the
+action's block index, and the fit reads that block of the weights.
+``phi_states`` builds the feature vectors of a whole round's states as
+the rows of one CSR block, the ``rows`` of the round's
+``policy.Examples``; ``phi_state`` is its one-row case.
+``phi_state_action`` builds the flat vector of the same example, the
+state features moved into the action's block; it is the oracle the
+block form is checked against.
 """
 
 from __future__ import annotations
@@ -30,13 +31,11 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import Document
-from .mdp import Action, MdpState
+from .mdp import Action, MdpState, action_block, n_action_blocks
 from .sparse import SparseVector
 
 __all__ = [
     "state_dim",
-    "action_block",
-    "n_action_blocks",
     "phi_state",
     "phi_states",
     "phi_state_action",
@@ -46,18 +45,6 @@ __all__ = [
 
 def state_dim(vocab_size: int, n_categories: int) -> int:
     return 2 * vocab_size + n_categories
-
-
-def n_action_blocks(n_categories: int) -> int:
-    return n_categories + 2
-
-
-def action_block(action: Action, n_categories: int) -> int:
-    if action.kind == "classify":
-        return action.category
-    if action.kind == "next":
-        return n_categories
-    return n_categories + 1
 
 
 def phi_state(state: MdpState) -> SparseVector:

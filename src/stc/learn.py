@@ -7,35 +7,30 @@ final F1), labels the maximizing actions good and the rest bad, and fits
 the linear action scorer to separate them. The greedy policy of the
 fitted scorer becomes the next round's policy.
 
-From round 2 on the policy is greedy and draws nothing, so its rollouts
-are exact. Such a round runs each document's episode once and keeps on
-the policy V^pi (the final F1) of every live state it visits, as the
-walked state's value (multi-label) or the scanned outcome of its cursor
-(mono); a rollout is then V^pi of the action's successor. The candidate's
-training-reward episodes are the ones the next round samples from. A
-greedy state's labels are fixed within the round, so each distinct
-sampled state is labelled once, however often it is drawn. The round's
-labelled states are featurized together, as the rows of one CSR block
-(``features.phi_states``). The examples are columns over that block
-(``policy.Examples``): per example, its state's row, its action's block
-of theta and its label, so no per-example object is built. A round's
-examples are released once they are fitted, before the next round
-samples.
+Every episode, in both task modes and under both policies, runs through
+one loop over plain (p, assigned) pairs (``_play``): ``mdp.legal_blocks``
+lists a pair's legal blocks and ``policy.choose`` picks one, until the
+policy stops or only stop is legal. A state with one legal action ends
+the loop there, without scoring or drawing, so the generator moves as
+in a walk (``mdp.walk``, which traces and the tests' reference episodes
+use). Only the drawn sampled state becomes an ``MdpState``.
 
-A mono-label episode from a state with nothing assigned is fixed by its
-outcome (q, k): the policy reads on to cursor q, then assigns category k
-there (k < C) or stops with nothing assigned (k = C). Such episodes are
-cursor scans that build no per-step state. The greedy scan takes the
-first maximum of each cursor's score row over the legal blocks, grows
-the rows only as far as it reaches, and is memoized per (document,
-cursor) on the policy. The random scan makes the draw a walk makes at
-each cursor, so the generator moves exactly as it would in a walk. An
-outcome's F1 is read from a per-document table kept on the policy
-(``mono_f1``). State sampling builds only the state it draws; rollouts
-from a live state with nothing assigned, mean episode rewards and
-evaluation logs read the scan. Multi-label episodes, rollouts against labels other than the document's
-own and traces walk (``mdp.walk``); a multi-label rollout of the
-first-round random policy keeps only the final assignment of its walk.
+From round 2 on the policy is greedy and draws nothing, so its rollouts
+are exact. Such a round keeps on the policy each document's episode from
+the start and the outcome (final pair) of every pair with a choice that
+an episode passes; a rollout is then the F1 of the outcome of the
+action's successor. The candidate's training-reward episodes are the
+ones the next round samples from. An assignment's F1 against the
+document's own labels is kept on the policy, too. A greedy state's
+labels are fixed within the round, so each distinct sampled state is
+labelled once, however often it is drawn. A sampled state with one
+legal action always ties, so it is skipped before any rollout. The
+round's labelled states are featurized together, as the rows of one CSR
+block (``features.phi_states``). The examples are columns over that
+block (``policy.Examples``): per example, its state's row, its action's
+block of theta and its label, so no per-example object is built. A
+round's examples are released once they are fitted, before the next
+round samples.
 
 Per-state randomness is drawn from a stream derived from (seed, state
 ordinal), so the sampled workload is independent of scheduling and the
@@ -44,7 +39,6 @@ first n states of a larger budget coincide with a smaller one's.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from itertools import chain
 
@@ -58,15 +52,15 @@ from .mdp import (
     Action,
     EpisodeLog,
     MdpState,
+    action_block,
     available_actions,
     check_action,
     classify,
-    initial_state,
+    legal_blocks,
+    n_action_blocks,
+    no_labels,
     prf1,
-    run_episode,
-    steps,
-    transition,
-    walk,
+    with_label,
 )
 from .policy import (
     ClassifierConfig,
@@ -75,7 +69,7 @@ from .policy import (
     LinearQ,
     Policy,
     UniformRandom,
-    policy_callable,
+    choose,
     train_linear,
 )
 
@@ -132,112 +126,79 @@ class PolicyTrainResult:
     telemetry: list[dict]  # one record per iteration
 
 
-def _greedy_walk(state: MdpState, policy: Greedy, mode: TaskMode) -> list[MdpState]:
-    """Walk a greedy policy from ``state``, recording V^pi (the final F1)
-    for every live state on the way."""
-    states, _ = walk(state, policy_callable(policy, mode), mode)
-    value = prf1(state.doc.y, states[-1].assigned)[2]
-    for s in states[:-1]:
-        policy.values[(s.doc, mode, s.p, s.assigned)] = value
-    return states
+Pair = tuple[int, tuple[int, ...]]  # (cursor p, assigned) of a live state
 
 
-def _greedy_value(state: MdpState, policy: Greedy, mode: TaskMode) -> float:
-    """V^pi of ``state`` against its document's labels, walked on a miss."""
-    if state.halted:
-        return prf1(state.doc.y, state.assigned)[2]
-    key = (state.doc, mode, state.p, state.assigned)
-    if key not in policy.values:
-        _greedy_walk(state, policy, mode)
-    return policy.values[key]
-
-
-def _episode(
-    doc: Document,
-    policy: Policy,
-    mode: TaskMode,
-    rng: np.random.Generator | None = None,
-) -> list[MdpState]:
-    """The states of the policy's episode on ``doc``, initial to halted.
-    A greedy policy's episode is walked once and kept on the policy."""
-    if not isinstance(policy, Greedy):
-        return walk(initial_state(doc), policy_callable(policy, mode, rng), mode)[0]
-    states = policy.episodes.get((doc, mode))
-    if states is None:
-        states = policy.episodes[(doc, mode)] = _greedy_walk(initial_state(doc), policy, mode)
-    return states
-
-
-def _mono_assigned(k: int, n_categories: int) -> tuple[int, ...]:
-    """The assignment of mono outcome k: category k alone, or none when k = C."""
-    assigned = [0] * n_categories
-    if k < n_categories:
-        assigned[k] = 1
-    return tuple(assigned)
-
-
-def _mono_f1(doc: Document, policy: Policy) -> list[float]:
-    """F1 against ``doc.y`` of each mono outcome k = 0..C, by ``prf1``,
-    kept on the policy."""
-    table = policy.mono_f1.get(doc)
-    if table is None:
-        n_categories = len(doc.y)
-        table = policy.mono_f1[doc] = [prf1(doc.y, _mono_assigned(k, n_categories))[2] for k in range(n_categories + 1)]
-    return table
-
-
-def _greedy_outcome(doc: Document, p: int, policy: Greedy) -> tuple[int, int]:
-    """The outcome of the greedy mono episode from (doc, p, nothing
-    assigned), recorded for every cursor the scan passes."""
-    outcomes = policy.outcomes
-    n_categories = len(doc.y)
-    passed = []
-    q = p
-    outcome = outcomes.get((doc, q))
-    while outcome is None:
-        scores = policy.q.score_rows(doc).row(q).tolist()
-        if q == doc.n_sentences:
-            scores[n_categories] = -math.inf  # next is illegal on the last sentence
-        best = max(range(n_categories + 2), key=scores.__getitem__)  # the first maximum
-        passed.append(q)
-        if best != n_categories:
-            outcome = (q, min(best, n_categories))  # classify(best), or stop
+def _play(doc: Document, p: int, assigned: tuple[int, ...], policy: Policy, mode: TaskMode, rng) -> list[Pair]:
+    """The live pairs of the policy's episode from (doc, p, assigned), that
+    pair first. The last pair is the one the policy stops in, or one where
+    stop is the only legal action, which ends the episode unchosen."""
+    mono, last, n_categories = mode == MONO_LABEL, doc.n_sentences, len(assigned)
+    pairs = []
+    while True:
+        pairs.append((p, assigned))
+        legal = legal_blocks(assigned, p < last, mono)
+        if len(legal) == 1:
+            return pairs
+        block = choose(policy, doc, p, assigned, legal, rng)
+        if block > n_categories:
+            return pairs
+        if block == n_categories:
+            p += 1
         else:
-            q += 1
-            outcome = outcomes.get((doc, q))
-    for cursor in passed:
-        outcomes[(doc, cursor)] = outcome
+            assigned = with_label(assigned, block)
+
+
+def _forced(doc: Document, p: int, assigned: tuple[int, ...], mode: TaskMode) -> bool:
+    """Whether stop is the only legal action of the live pair."""
+    return len(legal_blocks(assigned, p < doc.n_sentences, mode == MONO_LABEL)) == 1
+
+
+def _remember(doc: Document, mode: TaskMode, pairs: list[Pair], policy: Greedy) -> None:
+    """Record the greedy episode's outcome for every pair it passes, but
+    not for a last pair with one legal action: ``_outcome`` never looks
+    such a pair up."""
+    outcome = pairs[-1]
+    if _forced(doc, *outcome, mode):
+        pairs = pairs[:-1]
+    for p, assigned in pairs:
+        policy.outcomes[(doc, mode, p, assigned)] = outcome
+
+
+def _outcome(doc: Document, p: int, assigned: tuple[int, ...], policy: Policy, mode: TaskMode, rng=None) -> Pair:
+    """The final pair of the policy's episode from a live pair. A pair with
+    one legal action is its own outcome; a greedy outcome is memoized."""
+    if _forced(doc, p, assigned, mode):
+        return p, assigned
+    if not isinstance(policy, Greedy):
+        return _play(doc, p, assigned, policy, mode, rng)[-1]
+    outcome = policy.outcomes.get((doc, mode, p, assigned))
+    if outcome is None:
+        pairs = _play(doc, p, assigned, policy, mode, None)
+        _remember(doc, mode, pairs, policy)
+        outcome = pairs[-1]
     return outcome
 
 
-def _random_outcome(doc: Document, p: int, rng: np.random.Generator) -> tuple[int, int]:
-    """The outcome of a uniform-random mono episode from (doc, p, nothing
-    assigned). Each cursor draws the index of the walk's action among
-    classify(0..C-1), next (before the last sentence) and stop; the stop
-    forced after a classify draws nothing."""
-    n_categories, last = len(doc.y), doc.n_sentences
-    integers = rng.integers
-    q = p
-    while True:
-        i = int(integers(n_categories + 2 if q < last else n_categories + 1))
-        if i < n_categories:
-            return q, i
-        if i > n_categories or q == last:
-            return q, n_categories
-        q += 1
+def _episode(doc: Document, policy: Policy, mode: TaskMode, rng: np.random.Generator | None = None) -> list[Pair]:
+    """The live pairs of the policy's episode on ``doc`` from the start. A
+    greedy episode is played once and kept on the policy."""
+    if not isinstance(policy, Greedy):
+        return _play(doc, 1, no_labels(len(doc.y)), policy, mode, rng)
+    pairs = policy.episodes.get((doc, mode))
+    if pairs is None:
+        pairs = policy.episodes[(doc, mode)] = _play(doc, 1, no_labels(len(doc.y)), policy, mode, None)
+        _remember(doc, mode, pairs, policy)
+    return pairs
 
 
-def _mono_outcome(
-    doc: Document, p: int, policy: Policy, rng: np.random.Generator | None = None
-) -> tuple[int, int]:
-    """The outcome (q, k) of the policy's mono episode from (doc, p,
-    nothing assigned): read on to cursor q, then assign category k there,
-    or stop when k = C."""
-    if isinstance(policy, Greedy):
-        return _greedy_outcome(doc, p, policy)
-    if rng is None:
-        raise ValueError("a uniform-random policy needs an rng")
-    return _random_outcome(doc, p, rng)
+def _f1(doc: Document, assigned: tuple[int, ...], policy: Policy) -> float:
+    """F1 of ``assigned`` against ``doc.y``, by ``prf1``, kept on the policy."""
+    key = (doc, assigned)
+    value = policy.f1.get(key)
+    if value is None:
+        value = policy.f1[key] = prf1(doc.y, assigned)[2]
+    return value
 
 
 def sample_state(
@@ -247,20 +208,12 @@ def sample_state(
     rng: np.random.Generator,
 ) -> MdpState:
     """Pick a training document uniformly, run the policy's episode on it,
-    and return one of the visited live states uniformly. A mono episode
-    is scanned, and only the drawn state is built."""
+    and return one of the visited live states uniformly. Only the drawn
+    state is built."""
     doc = train_docs[int(rng.integers(len(train_docs)))]
-    if mode != MONO_LABEL:
-        live = _episode(doc, policy, mode, rng)[:-1]
-        return live[int(rng.integers(len(live)))]
-    q, k = _mono_outcome(doc, 1, policy, rng)
-    n_categories = len(doc.y)
-    # The live states: cursors 1..q with nothing assigned, then (q, {k})
-    # after a classify.
-    i = int(rng.integers(q + (k < n_categories)))
-    if i < q:
-        return MdpState(doc, i + 1, (0,) * n_categories)
-    return MdpState(doc, q, _mono_assigned(k, n_categories))
+    live = _episode(doc, policy, mode, rng)
+    p, assigned = live[int(rng.integers(len(live)))]
+    return MdpState(doc, p, assigned)
 
 
 def rollout_return(
@@ -274,48 +227,30 @@ def rollout_return(
 ) -> float:
     """Estimated return of taking ``first_action`` and then following
     ``policy`` to termination: the mean final F1 over independent rollouts.
+    An illegal action raises.
 
-    Under a greedy policy every rollout is the same walk, so the return is
-    exact: V^pi of the successor state, from the policy's memo when a
-    walk has already passed through it. The memo scores against the
-    document's own labels, so it serves only calls whose ``y`` is
-    ``state.doc.y``; so does the mono table of outcome F1s. In a live
-    mono state with nothing assigned, classify and stop end the episode
-    and next continues with a scan from p + 1. The n returns are summed
-    one by one, which gives the bits of n rollouts even when they are
-    equal.
+    Stop ends the episode at once and never consults the policy. Otherwise
+    each rollout is the outcome of the action's successor pair, drawn in
+    rollout order; under a greedy policy every rollout is the same
+    memoized outcome, so the return is exact. The F1s kept on the policy
+    score against the document's own labels, so they serve only calls
+    whose ``y`` is ``state.doc.y``. The n returns are summed one by one,
+    which gives the bits of n rollouts even when they are equal.
     """
-    if mode == MONO_LABEL and y is state.doc.y and not state.halted and not any(state.assigned):
-        returns = _mono_returns(state, first_action, policy, rng, n_rollouts)
-    elif isinstance(policy, Greedy) and y is state.doc.y:
-        returns = [_greedy_value(transition(state, first_action, mode), policy, mode)] * n_rollouts
-    else:
-        successor = transition(state, first_action, mode)
-        step = policy_callable(policy, mode, rng)
-        returns = (prf1(y, _final_state(successor, step, mode).assigned)[2] for _ in range(n_rollouts))
+    check_action(state, first_action, mode)
+    doc, p, assigned = state.doc, state.p, state.assigned
+    if first_action.kind == "next":
+        p += 1
+    elif first_action.kind == "classify":
+        assigned = with_label(assigned, first_action.category)
     total = 0.0
-    for value in returns:
-        total += value
+    for _ in range(n_rollouts):
+        if first_action.kind == "stop":  # the episode ends here, without the policy
+            total += prf1(y, assigned)[2]
+        else:
+            final = _outcome(doc, p, assigned, policy, mode, rng)[1]
+            total += _f1(doc, final, policy) if y is doc.y else prf1(y, final)[2]
     return total / n_rollouts
-
-
-def _mono_returns(state: MdpState, action: Action, policy: Policy, rng: np.random.Generator, n_rollouts: int):
-    """The n rollout returns of ``action`` in a live mono state with
-    nothing assigned; random rollouts draw in rollout order. An illegal
-    action raises."""
-    check_action(state, action, MONO_LABEL)
-    doc = state.doc
-    f1 = _mono_f1(doc, policy)
-    if action.kind == "next":
-        return (f1[_mono_outcome(doc, state.p + 1, policy, rng)[1]] for _ in range(n_rollouts))
-    return [f1[action.category if action.kind == "classify" else len(doc.y)]] * n_rollouts
-
-
-def _final_state(state: MdpState, step, mode: TaskMode) -> MdpState:
-    """The halted state of the episode from ``state``, keeping no other."""
-    for _, state in steps(state, step, mode):
-        pass
-    return state
 
 
 def _action_labels(
@@ -326,14 +261,17 @@ def _action_labels(
     n_rollouts: int,
 ) -> tuple[list[int], list[int]] | None:
     """The blocks of the legal actions and their +1/-1 labels, or None
-    when every action ties."""
+    when every action ties. A state with one legal action always ties, so
+    it is skipped before any rollout."""
     actions = available_actions(state, mode)
+    if len(actions) == 1:
+        return None
     returns = [rollout_return(state, a, policy, state.doc.y, mode, rng, n_rollouts) for a in actions]
     best = max(returns)
     if all(r == best for r in returns):
         return None
     n_categories = len(state.assigned)
-    return [features.action_block(a, n_categories) for a in actions], [1 if r == best else -1 for r in returns]
+    return [action_block(a, n_categories) for a in actions], [1 if r == best else -1 for r in returns]
 
 
 def build_training_set(
@@ -401,27 +339,26 @@ def build_training_set(
 
 def mean_episode_reward(docs: list[Document], policy: Policy, mode: TaskMode) -> float:
     """Mean episode reward of a policy over a document set. A greedy
-    policy keeps the episodes (multi-label) or their outcomes (mono), for
-    the next round to sample states from."""
-    if mode == MONO_LABEL:
-        rewards = [_mono_f1(doc, policy)[_mono_outcome(doc, 1, policy)[1]] for doc in docs]
-    else:
-        rewards = [prf1(doc.y, _episode(doc, policy, mode)[-1].assigned)[2] for doc in docs]
-    return float(np.mean(rewards))
+    policy keeps the episodes, for the next round to sample states from."""
+    return float(np.mean([_f1(doc, _episode(doc, policy, mode)[-1][1], policy) for doc in docs]))
 
 
 def episode_log(doc: Document, policy: Greedy, mode: TaskMode) -> EpisodeLog:
-    """The log of the greedy episode on ``doc``: a mono episode is read off
-    its scanned outcome, a multi-label one is walked (``run_episode``)."""
-    if mode != MONO_LABEL:
-        return run_episode(doc, policy_callable(policy, mode), mode)
-    q, k = _mono_outcome(doc, 1, policy)
-    n_categories = len(doc.y)
-    assigned = _mono_assigned(k, n_categories)
+    """The log of the greedy episode on ``doc``, read off its live pairs:
+    a cursor step is next, an assignment step classifies the label it
+    adds, and the episode ends with stop."""
+    pairs = _episode(doc, policy, mode)
+    actions = []
+    for (p, assigned), (p_next, successor) in zip(pairs, pairs[1:]):
+        if p_next > p:
+            actions.append(NEXT)
+        else:
+            actions.append(classify(next(k for k, (a, b) in enumerate(zip(assigned, successor)) if a != b)))
+    p, assigned = pairs[-1]
     return EpisodeLog(
         doc_id=doc.id,
-        actions=(NEXT,) * (q - 1) + ((classify(k), STOP) if k < n_categories else (STOP,)),
-        sentences_read=q,
+        actions=(*actions, STOP),
+        sentences_read=p,  # the cursor never moves back
         n_sentences=doc.n_sentences,
         final_assigned=assigned,
         reward=prf1(doc.y, assigned)[2],
@@ -465,7 +402,7 @@ def policy_iteration(
         if not n_examples:
             raise RuntimeError(f"iteration {iteration}: every sampled state tied; no training examples")
         classifier_cfg = replace(cfg.classifier, seed=cfg.classifier.seed + iteration)
-        theta = train_linear(batch.examples, classifier_cfg, features.n_action_blocks(n_categories))
+        theta = train_linear(batch.examples, classifier_cfg, n_action_blocks(n_categories))
         del batch  # so the next round samples without this round's examples alive
         q = LinearQ(theta, n_categories, dim)
         candidate = Greedy(q)

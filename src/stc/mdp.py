@@ -11,19 +11,15 @@ In mono-label mode assigning a label restricts the remaining action set
 to {stop}, so an episode carries at most one assignment and its reward is
 the 0/1 accuracy of that choice.
 
-``steps`` follows a policy from any state to the halting state, and
-``walk`` collects its states and actions. Multi-label episodes, traces
-and arbitrary policy callables walk; a rollout that needs only the final
-assignment keeps nothing else. A mono-label episode of a built-in policy
-is fixed by the cursor where the policy stops reading and what it does
-there, so ``learn`` runs it as a cursor scan that builds no per-step
-state, and ``walk`` is the reference it is tested against.
-
-The hot path builds no per-step action objects: ``classify(k)`` returns
-one interned action per k, and ``available_actions`` returns one interned
-tuple per (mono lock, assigned, next legal). ``transition`` checks every
-action's legality and then builds the successor without ``MdpState``'s
-cursor check, which a legal action cannot fail.
+Each action owns one block of the scorer's weights: classify(k) -> k,
+next -> C, stop -> C + 1. ``legal_blocks`` is the one legality rule, keyed
+by plain values, so the learner's episode engine (``learn``) runs on it
+without building states; ``available_actions`` and ``check_action`` apply
+it to states. Legal-block and action tuples, classify actions and
+assignment tuples are interned. ``steps`` and ``walk`` follow a policy
+callable from a state, checking every action and building successors
+without ``MdpState``'s cursor check, which a legal action cannot fail:
+traces, arbitrary callables and the tests' reference episodes walk.
 """
 
 from __future__ import annotations
@@ -42,7 +38,13 @@ __all__ = [
     "NEXT",
     "STOP",
     "classify",
+    "n_action_blocks",
+    "action_block",
+    "block_action",
+    "no_labels",
+    "with_label",
     "initial_state",
+    "legal_blocks",
     "available_actions",
     "check_action",
     "transition",
@@ -83,6 +85,51 @@ def classify(category: int) -> Action:
     return action
 
 
+def n_action_blocks(n_categories: int) -> int:
+    return n_categories + 2
+
+
+def action_block(action: Action, n_categories: int) -> int:
+    """The block of the scorer's weights that scores ``action``."""
+    if action.kind == "classify":
+        return action.category
+    if action.kind == "next":
+        return n_categories
+    return n_categories + 1
+
+
+def block_action(block: int, n_categories: int) -> Action:
+    """The action ``block`` scores: the inverse of ``action_block``."""
+    if block < n_categories:
+        return classify(block)
+    return NEXT if block == n_categories else STOP
+
+
+# Interned assignment tuples, built on first use: the all-zero one per C,
+# and the one with label k added per (assigned, k).
+_NO_LABELS: dict[int, tuple[int, ...]] = {}
+_WITH_LABEL: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
+
+
+def no_labels(n_categories: int) -> tuple[int, ...]:
+    """The empty assignment of C categories, one interned tuple per C."""
+    assigned = _NO_LABELS.get(n_categories)
+    if assigned is None:
+        assigned = _NO_LABELS[n_categories] = (0,) * n_categories
+    return assigned
+
+
+def with_label(assigned: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """``assigned`` with label k set, one interned tuple per (assigned, k)."""
+    key = (assigned, k)
+    successor = _WITH_LABEL.get(key)
+    if successor is None:
+        labels = list(assigned)
+        labels[k] = 1
+        successor = _WITH_LABEL[key] = tuple(labels)
+    return successor
+
+
 @dataclass(frozen=True, slots=True)
 class MdpState:
     doc: Document
@@ -106,9 +153,7 @@ def _successor(state: MdpState, action: Action) -> MdpState:
     successor = _new_state(MdpState)
     _set_doc(successor, state.doc)
     if action.kind == "classify":
-        assigned = list(state.assigned)
-        assigned[action.category] = 1
-        _set_assigned(successor, tuple(assigned))
+        _set_assigned(successor, with_label(state.assigned, action.category))
     else:
         _set_assigned(successor, state.assigned)
     _set_p(successor, state.p + 1 if action.kind == "next" else state.p)
@@ -137,43 +182,59 @@ class EpisodeLog:
 
 
 def initial_state(doc: Document) -> MdpState:
-    return MdpState(doc=doc, p=1, assigned=(0,) * len(doc.y), halted=False)
+    return MdpState(doc=doc, p=1, assigned=no_labels(len(doc.y)), halted=False)
 
 
-_STOP_ONLY = (STOP,)
-# Legal-action tuples by (assigned, next legal), built on first use.
-_LEGAL: dict[tuple[tuple[int, ...], bool], tuple[Action, ...]] = {}
+# Legal blocks by (assigned, next legal, mono), and legal actions by (legal
+# blocks, C), built on first use.
+_LEGAL_BLOCKS: dict[tuple[tuple[int, ...], bool, bool], tuple[int, ...]] = {}
+_LEGAL_ACTIONS: dict[tuple[tuple[int, ...], int], tuple[Action, ...]] = {}
+
+
+def legal_blocks(assigned: tuple[int, ...], next_legal: bool, mono: bool) -> tuple[int, ...]:
+    """The blocks of the legal actions of a live state, in the fixed order
+    classify(0..C-1), next, stop.
+
+    Every unassigned category may be assigned, next is legal when
+    ``next_legal`` (a sentence remains), and stop always is. In mono-label
+    mode (``mono``) an assigned label leaves only stop. The tuple is
+    interned: one per (assigned, next_legal, mono).
+    """
+    key = (assigned, next_legal, mono)
+    blocks = _LEGAL_BLOCKS.get(key)
+    if blocks is None:
+        n_categories = len(assigned)
+        if mono and any(assigned):
+            blocks = (n_categories + 1,)
+        else:
+            unassigned = [k for k, taken in enumerate(assigned) if not taken]
+            blocks = (*unassigned, *((n_categories,) if next_legal else ()), n_categories + 1)
+        _LEGAL_BLOCKS[key] = blocks
+    return blocks
 
 
 def available_actions(state: MdpState, mode: TaskMode) -> tuple[Action, ...]:
-    """Legal actions, in the fixed order classify(0..C-1), next, stop.
-
-    Mono-label mode: once a label is assigned only stop remains. Next is
-    unavailable on the last sentence in both modes. The tuple is interned:
-    states with the same mono lock, assignment and next legality share it.
-    """
+    """The actions of the state's ``legal_blocks``, in the same order. The
+    tuple is interned: states with the same mono lock, assignment and next
+    legality share it."""
     if state.halted:
         raise ValueError("no actions are available in a halted state")
-    if mode == MONO_LABEL and any(state.assigned):
-        return _STOP_ONLY
-    key = (state.assigned, state.p < state.doc.n_sentences)
-    actions = _LEGAL.get(key)
+    n_categories = len(state.assigned)
+    key = (legal_blocks(state.assigned, state.p < state.doc.n_sentences, mode == MONO_LABEL), n_categories)
+    actions = _LEGAL_ACTIONS.get(key)
     if actions is None:
-        unassigned = [classify(k) for k, taken in enumerate(state.assigned) if not taken]
-        actions = _LEGAL[key] = (*unassigned, *((NEXT,) if key[1] else ()), STOP)
+        actions = _LEGAL_ACTIONS[key] = tuple(block_action(b, n_categories) for b in key[0])
     return actions
 
 
 def _is_legal(state: MdpState, action: Action, mode: TaskMode) -> bool:
     if state.halted:
         return False
-    if mode == MONO_LABEL and any(state.assigned):
-        return action.kind == "stop"
-    if action.kind == "classify":
-        return 0 <= action.category < len(state.assigned) and not state.assigned[action.category]
-    if action.kind == "next":
-        return state.p < state.doc.n_sentences
-    return action.kind == "stop"
+    n_categories = len(state.assigned)
+    if action.kind == "classify" and not 0 <= action.category < n_categories:
+        return False
+    legal = legal_blocks(state.assigned, state.p < state.doc.n_sentences, mode == MONO_LABEL)
+    return action_block(action, n_categories) in legal
 
 
 def check_action(state: MdpState, action: Action, mode: TaskMode) -> None:

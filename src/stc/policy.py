@@ -1,21 +1,23 @@
-"""Linear action scoring and the regularized linear classifier behind it.
+"""Linear action scoring, the policies' one choice rule, and the
+regularized linear classifier behind the scorer.
 
 The action scorer is a single weight vector over the block state-action
-feature space; the greedy policy takes the argmax of the scores of the
-legal actions, breaking exact ties toward the fixed action ordering; a
-step with one legal action is taken without scoring, and a uniform-random
-step with one legal action draws nothing (``Generator.integers(1)`` would
-consume no state either). A scorer reads each step's scores from its
-document's rows of the mean and last-sentence parts
-(``features.ScoreRows``), grown on demand up to the step's cursor, plus
-the assigned-label part of the state. The greedy choice adds that part
-only when some label is assigned: with none, it is a sum of ±0 terms,
-and adding ±0 changes no comparison. ``block_scores``, ``q_value`` and
-``action_scores`` always add it. Its theta is a private, read-only copy,
-so rows grown at different times share one theta. A greedy policy draws
-no randomness, so its episodes, state values and mono episode outcomes
-are fixed; it carries dicts where ``learn`` keeps them for the one round
-the policy drives.
+feature space. ``choose`` is the one choice rule, over the legal blocks
+``mdp.legal_blocks`` lists for a (document, p, assigned) state: the
+greedy policy takes the first maximum of the blocks' scores, so exact
+ties go to the fixed action order, and the uniform-random policy draws
+one index from its rng. A state with one legal block is taken without
+scoring or drawing (``Generator.integers(1)`` would consume no state
+either). A scorer reads a state's scores from its document's rows of the
+mean and last-sentence parts (``features.ScoreRows``), grown on demand
+up to the cursor, plus the assigned-label part, which the greedy choice
+adds only when some label is assigned: with none, it is a sum of ±0
+terms, and adding ±0 changes no comparison. ``block_scores``,
+``q_value`` and ``action_scores`` always add it. Its theta is a private,
+read-only copy, so rows grown at different times share one theta.
+``select_action`` is ``choose`` for an ``MdpState``, the step of walks
+and traces. The policies carry dicts where ``learn`` keeps its episodes,
+outcomes and F1s for the one round the policy drives.
 
 The classifier minimizes an L2-regularized hinge loss by stochastic
 subgradient descent with step size 1/(lambda*t). Its weight vector is
@@ -37,7 +39,8 @@ from typing import Sequence
 import numpy as np
 
 from . import features
-from .mdp import Action, MdpState, available_actions
+from .corpus import MONO_LABEL
+from .mdp import Action, MdpState, action_block, available_actions, block_action, legal_blocks, n_action_blocks
 from .sparse import SparseVector
 
 __all__ = [
@@ -47,6 +50,7 @@ __all__ = [
     "UniformRandom",
     "q_value",
     "action_scores",
+    "choose",
     "select_action",
     "policy_callable",
     "Examples",
@@ -72,7 +76,7 @@ class LinearQ:
 
     def __post_init__(self):
         theta = np.array(self.theta, dtype=np.float64)
-        expected = features.n_action_blocks(self.n_categories) * self.state_dim
+        expected = n_action_blocks(self.n_categories) * self.state_dim
         if theta.shape != (expected,):
             raise ValueError(f"theta has shape {theta.shape}, expected ({expected},)")
         if not np.all(np.isfinite(theta)):
@@ -81,7 +85,7 @@ class LinearQ:
         self.theta = theta
 
     def blocks(self) -> np.ndarray:
-        return self.theta.reshape(features.n_action_blocks(self.n_categories), self.state_dim)
+        return self.theta.reshape(n_action_blocks(self.n_categories), self.state_dim)
 
     def score_rows(self, doc) -> features.ScoreRows:
         """The document's score rows, without the assigned block."""
@@ -102,7 +106,7 @@ class LinearQ:
 
     @staticmethod
     def zeros(n_categories: int, state_dim: int) -> "LinearQ":
-        blocks = features.n_action_blocks(n_categories)
+        blocks = n_action_blocks(n_categories)
         return LinearQ(np.zeros(blocks * state_dim), n_categories, state_dim)
 
 
@@ -122,40 +126,63 @@ class ClassifierConfig:
 @dataclass(frozen=True)
 class Greedy:
     q: LinearQ
-    # Filled by ``learn`` while the policy drives a round. Multi-label
-    # episodes walk: ``episodes`` maps (document identity, mode) to the
-    # states of the policy's episode, and ``values`` maps (document
-    # identity, mode, p, assigned) to V^pi, the final F1 of the episode
-    # continuing from that live state. Mono episodes are cursor scans:
-    # ``outcomes`` maps (document identity, p) to the outcome (q, k) of the
-    # episode from cursor p with nothing assigned, which reads on to cursor
-    # q and then assigns category k there, or stops when k = C; ``mono_f1``
-    # maps document identity to the F1 of each outcome k = 0..C.
+    # Filled by ``learn`` while the policy drives a round, over (p, assigned)
+    # pairs of a document's live states: ``episodes`` maps (document
+    # identity, mode) to the live pairs of the policy's episode from the
+    # start, ``outcomes`` maps (document identity, mode, p, assigned) to the
+    # final pair of the episode from that pair, and ``f1`` maps (document
+    # identity, assigned) to the F1 of that assignment against the
+    # document's labels.
     episodes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    values: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     outcomes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    mono_f1: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    f1: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
 class UniformRandom:
     """Uniform choice among the legal actions; the caller supplies the rng.
-    ``mono_f1`` is filled by ``learn`` as on ``Greedy``."""
+    ``f1`` is filled by ``learn`` as on ``Greedy``."""
 
-    mono_f1: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    f1: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 Policy = Greedy | UniformRandom
 
 
 def q_value(q: LinearQ, state: MdpState, action: Action) -> float:
-    return float(q.block_scores(state)[features.action_block(action, q.n_categories)])
+    return float(q.block_scores(state)[action_block(action, q.n_categories)])
 
 
 def action_scores(q: LinearQ, state: MdpState, mode: str) -> list[tuple[Action, float]]:
     """Scores of every legal action, in the fixed action order."""
     scores = q.block_scores(state)
-    return [(a, float(scores[features.action_block(a, q.n_categories)])) for a in available_actions(state, mode)]
+    return [(a, float(scores[action_block(a, q.n_categories)])) for a in available_actions(state, mode)]
+
+
+def choose(
+    policy: Policy,
+    doc,
+    p: int,
+    assigned: tuple[int, ...],
+    legal: tuple[int, ...],
+    rng: np.random.Generator | None = None,
+) -> int:
+    """The block the policy takes among the ``legal`` blocks of the live
+    state (doc, p, assigned): the greedy first maximum, or a uniform draw
+    from ``rng``, which a uniform-random policy requires."""
+    if isinstance(policy, Greedy):
+        if len(legal) == 1:
+            return legal[0]
+        q = policy.q
+        scores = q.score_rows(doc).row(p)
+        if any(assigned):
+            scores = scores + q.assigned_scores(assigned)
+        return max(legal, key=scores.tolist().__getitem__)  # max keeps the first of equal maxima
+    if rng is None:
+        raise ValueError("a uniform-random policy needs an rng")
+    if len(legal) == 1:
+        return legal[0]
+    return legal[int(rng.integers(len(legal)))]
 
 
 def select_action(
@@ -164,34 +191,11 @@ def select_action(
     mode: str,
     rng: np.random.Generator | None = None,
 ) -> Action:
-    """Greedy argmax (first maximum wins on ties) or uniform choice.
-
-    A greedy step with one legal action takes it without scoring it, and
-    adds the assigned-label part to the scores only when some label is
-    assigned. A uniform-random policy draws from ``rng``, which it
-    requires, and draws nothing when one action is legal.
-    """
-    actions = available_actions(state, mode)
-    if isinstance(policy, Greedy):
-        if len(actions) == 1:
-            return actions[0]
-        q = policy.q
-        scores = q.score_rows(state.doc).row(state.p)
-        if any(state.assigned):
-            scores = scores + q.assigned_scores(state.assigned)
-        scores = scores.tolist()
-        n_categories = q.n_categories
-        best, best_score = actions[0], scores[features.action_block(actions[0], n_categories)]
-        for action in actions[1:]:
-            score = scores[features.action_block(action, n_categories)]
-            if score > best_score:
-                best, best_score = action, score
-        return best
-    if rng is None:
-        raise ValueError("a uniform-random policy needs an rng")
-    if len(actions) == 1:
-        return actions[0]
-    return actions[int(rng.integers(len(actions)))]
+    """The action of the block ``choose`` takes in ``state``."""
+    if state.halted:
+        raise ValueError("no actions are available in a halted state")
+    legal = legal_blocks(state.assigned, state.p < state.doc.n_sentences, mode == MONO_LABEL)
+    return block_action(choose(policy, state.doc, state.p, state.assigned, legal, rng), len(state.assigned))
 
 
 def policy_callable(policy: Policy, mode: str, rng: np.random.Generator | None = None):

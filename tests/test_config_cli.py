@@ -338,6 +338,20 @@ class TestTrainEvaluateTrace:
         assert not (tmp_path / "out" / f"metrics_{method}.json").exists()
         assert main(["evaluate", "--config", str(config_file), "--model", str(model), "--corpus", str(trained)]) == 0
 
+    def test_trace_rejects_a_vocabulary_that_fails_the_checksum(self, config_file, corpus_file, tmp_path, capsys):
+        assert main(["train", "--config", str(config_file), "--method", "stc"]) == 0
+        model = tmp_path / "out" / "stc.model.json"
+        record = json.loads(model.read_text())
+        term, (index, df) = next(iter(record["metadata"]["vocabulary"]["terms"].items()))
+        record["metadata"]["vocabulary"]["terms"][term] = [index, df + 1]
+        model.write_text(json.dumps(record))
+        capsys.readouterr()
+
+        doc_id = json.loads(corpus_file.read_text().splitlines()[0])["id"]
+        assert main(["trace", "--model", str(model), "--corpus", str(corpus_file), "--doc-id", doc_id]) == 1
+        out, err = capsys.readouterr()
+        assert "checksum mismatch" in err and "step 1:" not in out
+
     def test_trace_unknown_doc_id(self, config_file, corpus_file, tmp_path):
         assert main(["train", "--config", str(config_file), "--method", "stc"]) == 0
         model = tmp_path / "out" / "stc.model.json"

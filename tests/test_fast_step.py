@@ -1,4 +1,5 @@
-"""The allocation-free episode step against a reference step.
+"""The allocation-free episode step and the learner's episode engine
+against a reference step.
 
 A walk picks from interned action tuples, skips the greedy choice's
 assigned-label part when no label is assigned, draws nothing on a forced
@@ -10,11 +11,12 @@ draws on every random step and builds each successor through
 rng state afterwards. They also hold the interned action tuples to the
 list the old ``available_actions`` built.
 
-Mono-label episodes are cursor scans (``learn``), not walks. The same
-reference walk is their oracle: the scanned outcome (the cursor the
-episode reads on to, then the category it assigns there or C for a
-stop), the state a sample draws, and every legal action's rollout
-return, with the same rng state afterwards.
+The learner runs its episodes over plain (p, assigned) pairs
+(``learn._play``), not walks. The same reference walk is its oracle in
+both task modes and under both policies: the live pairs of an episode
+from the start, the final pair (outcome) of an episode from any live
+pair, the state a sample draws, and every legal action's rollout return,
+with the same rng state afterwards.
 """
 
 import itertools
@@ -25,16 +27,18 @@ import pytest
 from conftest import ScriptedPolicy, make_doc
 from stc import learn
 from stc.corpus import MONO_LABEL, MULTI_LABEL
-from stc.features import action_block, state_dim
+from stc.features import state_dim
 from stc.learn import rollout_return, sample_state
 from stc.mdp import (
     NEXT,
     STOP,
     Action,
     MdpState,
+    action_block,
     available_actions,
     classify,
     initial_state,
+    no_labels,
     prf1,
     transition,
     walk,
@@ -231,17 +235,38 @@ def test_transition_matches_the_legal_step():
             assert successor == want
 
 
-def mono_docs(seed, count):
-    """Mono documents with C in 1..8, 1..7 sentences and one true label."""
+def engine_docs(seed, count, modes=(MONO_LABEL, MULTI_LABEL)):
+    """Documents with C in 1..8 and 1..7 sentences, taking the modes in
+    turn: a mono document has one true label, a multi-label one 1..C."""
     rng = np.random.default_rng(seed)
     for trial in range(count):
+        mode = modes[trial % len(modes)]
         n_cats, n_sents = int(rng.integers(1, 9)), int(rng.integers(1, 8))
         y = np.zeros(n_cats, dtype=np.int8)
-        y[int(rng.integers(n_cats))] = 1
-        yield make_doc(n_sents, y, vocab_size=VOCAB, seed=trial, doc_id=f"m{trial}"), n_cats, rng
+        n_true = 1 if mode == MONO_LABEL else int(rng.integers(1, n_cats + 1))
+        y[rng.choice(n_cats, size=n_true, replace=False)] = 1
+        yield make_doc(n_sents, y, vocab_size=VOCAB, seed=trial, doc_id=f"e{trial}"), mode, n_cats, rng
 
 
-def mono_theta(n_cats, rng, ties):
+def start_pairs(doc, mode, rng):
+    """(p, assigned) of live states to start episodes from, in random order:
+    every cursor with nothing assigned, plus assignments with labels set,
+    one in mono mode (the lock, where only stop is legal) and random ones
+    in multi-label mode (all of them on the last sentence leave only stop)."""
+    n_cats, n = len(doc.y), doc.n_sentences
+    pairs = [(p, no_labels(n_cats)) for p in range(1, n + 1)]
+    for _ in range(n):
+        p = int(rng.integers(1, n + 1))
+        if mode == MONO_LABEL:
+            label = int(rng.integers(n_cats))
+            pairs.append((p, tuple(int(k == label) for k in range(n_cats))))
+        else:
+            pairs.append((p, tuple(int(b) for b in rng.random(n_cats) < 0.5)))
+    pairs.append((n, (1,) * n_cats))
+    return [pairs[i] for i in rng.permutation(len(pairs))]
+
+
+def tie_theta(n_cats, rng, ties):
     """Random weights; "classify" ties every classify block and zeroes
     next, "all" makes every block equal, so all scores tie."""
     theta = random_q(n_cats, rng, ties=ties == "classify").theta.copy()
@@ -251,112 +276,145 @@ def mono_theta(n_cats, rng, ties):
     return theta
 
 
-def walked_outcome(states, actions):
-    """(cursor read on to, category assigned there or C for a stop)."""
-    final = states[-1]
-    k = next((a.category for a in actions if a.kind == "classify"), len(final.assigned))
-    return final.p, k
+def greedy(theta, n_cats):
+    return Greedy(LinearQ(theta, n_cats, state_dim(VOCAB, n_cats)))
 
 
-def unassigned(doc, p):
-    return MdpState(doc, p, (0,) * len(doc.y))
+def final_pair(states):
+    return states[-1].p, states[-1].assigned
+
+
+def forced(doc, p, assigned, mode):
+    return len(reference_actions(MdpState(doc, p, assigned), mode)) == 1
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_greedy_scan_matches_the_walk(seed):
+    """Greedy episodes of the engine, both modes, against the reference walk."""
     seen = set()
-    for doc, n_cats, rng in mono_docs(seed, 150):
+    for doc, mode, n_cats, rng in engine_docs(seed, 150):
         for ties in ("none", "classify", "all"):
-            theta = mono_theta(n_cats, rng, ties)
-            dim = state_dim(VOCAB, n_cats)
-            # The first scan from cursor 1 grows the rows only as far as it reads.
-            first = Greedy(LinearQ(theta, n_cats, dim))
-            outcome = learn._mono_outcome(doc, 1, first)
-            assert first.q.score_rows(doc).filled == outcome[0]
-            # Any order of start cursors, so later scans meet the memo part-way.
-            scanned = Greedy(LinearQ(theta, n_cats, dim))
-            for p in (rng.permutation(doc.n_sentences) + 1).tolist():
-                ref = reference_walk(unassigned(doc, p), Greedy(LinearQ(theta, n_cats, dim)), MONO_LABEL, None)
-                want = walked_outcome(*ref)
-                assert learn._mono_outcome(doc, p, scanned) == want
-                assert scanned.outcomes[(doc, p)] == want
-                q, k = want
-                seen.add(("classify at 1" if q == 1 and k < n_cats else "stop" if k == n_cats else "classify later"))
-                if q == doc.n_sentences > p:
-                    seen.add("read to the last sentence")
-                if ties != "none" and k < n_cats:
-                    seen.add(f"tie {ties}")
-    assert seen == {"classify at 1", "stop", "classify later", "read to the last sentence", "tie classify", "tie all"}
+            theta = tie_theta(n_cats, rng, ties)
+            # The first episode from the start grows the rows only as far
+            # as the policy scores: a forced last step scores nothing.
+            first = greedy(theta, n_cats)
+            states, _ = reference_walk(initial_state(doc), greedy(theta, n_cats), mode, None)
+            assert learn._episode(doc, first, mode) == [(s.p, s.assigned) for s in states[:-1]]
+            scored = max(s.p for s in states[:-1] if len(reference_actions(s, mode)) > 1)
+            assert first.q.score_rows(doc).filled == scored
+            # Start pairs in any order, so later episodes meet the memo part-way.
+            policy = greedy(theta, n_cats)
+            for p, assigned in start_pairs(doc, mode, rng):
+                states, actions = reference_walk(MdpState(doc, p, assigned), greedy(theta, n_cats), mode, None)
+                want = final_pair(states)
+                assert learn._outcome(doc, p, assigned, policy, mode) == want
+                is_forced = forced(doc, p, assigned, mode)
+                # A pair with one legal action is its own outcome and is never memoized.
+                assert policy.outcomes.get((doc, mode, p, assigned)) == (None if is_forced else want)
+                labels = sum(a.kind == "classify" for a in actions)
+                seen.add((mode, "forced" if is_forced else "stop" if not labels else f"classify x{min(labels, 2)}"))
+                if want[0] == doc.n_sentences > p:
+                    seen.add((mode, "read to the last sentence"))
+                if ties != "none" and labels:
+                    seen.add((mode, f"tie {ties}"))
+    kinds = {"forced", "stop", "classify x1", "read to the last sentence", "tie classify", "tie all"}
+    assert seen == {(mode, kind) for mode in (MONO_LABEL, MULTI_LABEL) for kind in kinds} | {(MULTI_LABEL, "classify x2")}
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_random_scan_matches_the_walk(seed):
+    """Uniform-random episodes of the engine, both modes, against the
+    reference walk, with the generator in the same state after each."""
     seen = set()
-    for trial, (doc, n_cats, _) in enumerate(mono_docs(seed, 150)):
-        rng_scan, rng_walk = np.random.default_rng([seed, trial]), np.random.default_rng([seed, trial])
-        for p in list(range(1, doc.n_sentences + 1)) * 3:
-            want = walked_outcome(*reference_walk(unassigned(doc, p), UniformRandom(), MONO_LABEL, rng_walk))
-            assert learn._mono_outcome(doc, p, UniformRandom(), rng_scan) == want
-            assert rng_scan.bit_generator.state == rng_walk.bit_generator.state
-            seen.add("stop" if want[1] == n_cats else "classify")
-            if want[0] == doc.n_sentences > p:
-                seen.add("read to the last sentence")
-    assert seen == {"stop", "classify", "read to the last sentence"}
+    for trial, (doc, mode, n_cats, rng) in enumerate(engine_docs(seed, 150)):
+        rng_play, rng_walk = np.random.default_rng([seed, trial]), np.random.default_rng([seed, trial])
+        states, _ = reference_walk(initial_state(doc), UniformRandom(), mode, rng_walk)
+        assert learn._episode(doc, UniformRandom(), mode, rng_play) == [(s.p, s.assigned) for s in states[:-1]]
+        assert rng_play.bit_generator.state == rng_walk.bit_generator.state
+        for p, assigned in start_pairs(doc, mode, rng) * 3:
+            states, actions = reference_walk(MdpState(doc, p, assigned), UniformRandom(), mode, rng_walk)
+            assert learn._outcome(doc, p, assigned, UniformRandom(), mode, rng_play) == final_pair(states)
+            assert rng_play.bit_generator.state == rng_walk.bit_generator.state
+            labels = sum(a.kind == "classify" for a in actions)
+            seen.add((mode, "forced" if forced(doc, p, assigned, mode) else "stop" if not labels else "classify"))
+            if states[-1].p == doc.n_sentences > p:
+                seen.add((mode, "read to the last sentence"))
+    kinds = {"forced", "stop", "classify", "read to the last sentence"}
+    assert seen == {(mode, kind) for mode in (MONO_LABEL, MULTI_LABEL) for kind in kinds}
     with pytest.raises(ValueError, match="needs an rng"):
-        learn._mono_outcome(doc, 1, UniformRandom())
-
-
-def test_mono_sample_matches_a_walked_sample():
-    n_cats = 4
-    labels = np.eye(n_cats, dtype=np.int8)
-    docs = [make_doc(1 + s % 7, labels[s % n_cats], vocab_size=VOCAB, seed=s, doc_id=f"s{s}") for s in range(9)]
-    theta = mono_theta(n_cats, np.random.default_rng(8), "none")
-    for policy, reference in policy_pairs(theta, n_cats):
-        for i in range(300):
-            rng_scan, rng_walk = np.random.default_rng([5, i]), np.random.default_rng([5, i])
-            got = sample_state(docs, policy, MONO_LABEL, rng_scan)
-            doc = docs[int(rng_walk.integers(len(docs)))]
-            live = reference_walk(initial_state(doc), reference, MONO_LABEL, rng_walk)[0][:-1]
-            want = live[int(rng_walk.integers(len(live)))]
-            assert type(got) is MdpState and _fields([got]) == _fields([want]) and hash(got) == hash(want)
-            assert rng_scan.bit_generator.state == rng_walk.bit_generator.state
+        learn._outcome(doc, 1, no_labels(n_cats), UniformRandom(), mode)
 
 
 def policy_pairs(theta, n_cats):
     """(policy under test, reference policy) for the greedy policy of
     theta and for the uniform-random one; the two never share a memo."""
-    dim = state_dim(VOCAB, n_cats)
-    return (Greedy(LinearQ(theta, n_cats, dim)), Greedy(LinearQ(theta, n_cats, dim))), (UniformRandom(), UniformRandom())
+    return (greedy(theta, n_cats), greedy(theta, n_cats)), (UniformRandom(), UniformRandom())
 
 
-def walked_return(state, action, policy, y, rng, n_rollouts):
+def check_samples(mode):
+    """``sample_state`` against a state drawn from a walked episode."""
+    n_cats = 4
+    labels = np.eye(n_cats, dtype=np.int8) if mode == MONO_LABEL else 1 - np.eye(n_cats, dtype=np.int8)
+    docs = [make_doc(1 + s % 7, labels[s % n_cats], vocab_size=VOCAB, seed=s, doc_id=f"s{s}") for s in range(9)]
+    theta = tie_theta(n_cats, np.random.default_rng(8), "none")
+    for policy, reference in policy_pairs(theta, n_cats):
+        for i in range(300):
+            rng_play, rng_walk = np.random.default_rng([5, i]), np.random.default_rng([5, i])
+            got = sample_state(docs, policy, mode, rng_play)
+            doc = docs[int(rng_walk.integers(len(docs)))]
+            live = reference_walk(initial_state(doc), reference, mode, rng_walk)[0][:-1]
+            want = live[int(rng_walk.integers(len(live)))]
+            assert type(got) is MdpState and _fields([got]) == _fields([want]) and hash(got) == hash(want)
+            assert rng_play.bit_generator.state == rng_walk.bit_generator.state
+
+
+def test_mono_sample_matches_a_walked_sample():
+    check_samples(MONO_LABEL)
+
+
+def test_multi_sample_matches_a_walked_sample():
+    check_samples(MULTI_LABEL)
+
+
+def walked_return(state, action, policy, y, mode, rng, n_rollouts):
     total = 0.0
     for _ in range(n_rollouts):
-        final = reference_walk(transition(state, action, MONO_LABEL), policy, MONO_LABEL, rng)[0][-1]
+        final = reference_walk(transition(state, action, mode), policy, mode, rng)[0][-1]
         total += prf1(y, final.assigned)[2]
     return total / n_rollouts
 
 
-@pytest.mark.parametrize("n_rollouts", [1, 3])
-def test_mono_rollouts_match_walked_rollouts(n_rollouts):
-    for trial, (doc, n_cats, rng) in enumerate(mono_docs(10 + n_rollouts, 80)):
-        theta = mono_theta(n_cats, rng, ("none", "classify", "all")[trial % 3])
+def check_rollouts(mode, n_rollouts):
+    """Every legal action's rollout return from every start pair, in action
+    order and then rollout order, against walked rollouts."""
+    docs = engine_docs(10 + n_rollouts, 80, modes=(mode,))
+    for trial, (doc, _, n_cats, rng) in enumerate(docs):
+        theta = tie_theta(n_cats, rng, ("none", "classify", "all")[trial % 3])
+        pairs = start_pairs(doc, mode, rng)
         for policy, reference in policy_pairs(theta, n_cats):
-            rng_scan, rng_walk = np.random.default_rng([n_rollouts, trial]), np.random.default_rng([n_rollouts, trial])
-            states = [unassigned(doc, p) for p in range(1, doc.n_sentences + 1)]
-            states.append(MdpState(doc, doc.n_sentences, tuple(int(k == n_cats - 1) for k in range(n_cats))))
-            for state in states:
-                # Every legal action in action order, then rollout order.
+            rng_play, rng_walk = np.random.default_rng([n_rollouts, trial]), np.random.default_rng([n_rollouts, trial])
+            for p, assigned in pairs:
+                state = MdpState(doc, p, assigned)
                 got = [
-                    rollout_return(state, a, policy, doc.y, MONO_LABEL, rng_scan, n_rollouts)
-                    for a in available_actions(state, MONO_LABEL)
+                    rollout_return(state, a, policy, doc.y, mode, rng_play, n_rollouts)
+                    for a in available_actions(state, mode)
                 ]
                 want = [
-                    walked_return(state, a, reference, doc.y, rng_walk, n_rollouts)
-                    for a in reference_actions(state, MONO_LABEL)
+                    walked_return(state, a, reference, doc.y, mode, rng_walk, n_rollouts)
+                    for a in reference_actions(state, mode)
                 ]
                 assert got == want
-                assert rng_scan.bit_generator.state == rng_walk.bit_generator.state
+                assert rng_play.bit_generator.state == rng_walk.bit_generator.state
+
+
+@pytest.mark.parametrize("n_rollouts", [1, 3])
+def test_mono_rollouts_match_walked_rollouts(n_rollouts):
+    check_rollouts(MONO_LABEL, n_rollouts)
+
+
+@pytest.mark.parametrize("n_rollouts", [1, 3])
+def test_multi_rollouts_match_walked_rollouts(n_rollouts):
+    check_rollouts(MULTI_LABEL, n_rollouts)
 
 
 def test_mono_rollout_of_an_illegal_action_raises():
@@ -364,27 +422,53 @@ def test_mono_rollout_of_an_illegal_action_raises():
     q = random_q(3, np.random.default_rng(2))
     for policy in (Greedy(q), UniformRandom()):
         for state, action in (
-            (unassigned(doc, 3), NEXT),
-            (unassigned(doc, 1), Action("classify", 3)),
+            (MdpState(doc, 3, (0, 0, 0)), NEXT),
+            (MdpState(doc, 1, (0, 0, 0)), Action("classify", 3)),
+            (MdpState(doc, 2, (0, 1, 0)), classify(0)),  # the mono lock
             (MdpState(doc, 2, (0, 0, 0), True), STOP),
         ):
             with pytest.raises(ValueError, match="illegal"):
                 rollout_return(state, action, policy, doc.y, MONO_LABEL, np.random.default_rng(0))
 
 
-def test_mono_rollout_against_foreign_labels_walks(monkeypatch):
-    def no_table(doc, policy):
-        raise AssertionError("a foreign y must not read the document's outcome table")
+def test_multi_rollout_of_an_illegal_action_raises():
+    doc = make_doc(3, [1, 1, 0], vocab_size=VOCAB)
+    q = random_q(3, np.random.default_rng(2))
+    for policy in (Greedy(q), UniformRandom()):
+        for state, action in (
+            (MdpState(doc, 3, (0, 1, 0)), NEXT),
+            (MdpState(doc, 1, (0, 0, 0)), Action("classify", -1)),
+            (MdpState(doc, 2, (0, 1, 0)), classify(1)),
+            (MdpState(doc, 2, (1, 1, 1), True), STOP),
+        ):
+            with pytest.raises(ValueError, match="illegal"):
+                rollout_return(state, action, policy, doc.y, MULTI_LABEL, np.random.default_rng(0))
 
-    monkeypatch.setattr(learn, "_mono_f1", no_table)
+
+def check_foreign_labels(mode, monkeypatch):
+    """Rollouts scored against labels other than the document's own (an
+    equal copy too) never read the F1s kept on the policy."""
+
+    def no_cache(doc, assigned, policy):
+        raise AssertionError("a foreign y must not read the F1s kept on the policy")
+
+    monkeypatch.setattr(learn, "_f1", no_cache)
     doc = make_doc(4, [0, 1, 0], vocab_size=VOCAB, seed=3)
     theta = random_q(3, np.random.default_rng(4)).theta
     for y in (doc.y.copy(), np.array([1, 1, 0], dtype=np.int8)):
         for policy, reference in policy_pairs(theta, 3):
-            rng_scan, rng_walk = np.random.default_rng(6), np.random.default_rng(6)
-            for p in range(1, 5):
-                state = unassigned(doc, p)
-                for action in available_actions(state, MONO_LABEL):
-                    got = rollout_return(state, action, policy, y, MONO_LABEL, rng_scan, 2)
-                    assert got == walked_return(state, action, reference, y, rng_walk, 2)
-            assert rng_scan.bit_generator.state == rng_walk.bit_generator.state
+            rng_play, rng_walk = np.random.default_rng(6), np.random.default_rng(6)
+            for p, assigned in start_pairs(doc, mode, np.random.default_rng(7)):
+                state = MdpState(doc, p, assigned)
+                for action in available_actions(state, mode):
+                    got = rollout_return(state, action, policy, y, mode, rng_play, 2)
+                    assert got == walked_return(state, action, reference, y, mode, rng_walk, 2)
+            assert rng_play.bit_generator.state == rng_walk.bit_generator.state
+
+
+def test_mono_rollout_against_foreign_labels_walks(monkeypatch):
+    check_foreign_labels(MONO_LABEL, monkeypatch)
+
+
+def test_multi_rollout_against_foreign_labels_walks(monkeypatch):
+    check_foreign_labels(MULTI_LABEL, monkeypatch)

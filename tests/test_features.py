@@ -4,15 +4,13 @@ import pytest
 from conftest import live_states, make_doc, norm, score_table, sparse
 from stc.corpus import Document, MONO_LABEL, MULTI_LABEL
 from stc.features import (
-    action_block,
-    n_action_blocks,
     phi_state,
     phi_state_action,
     phi_states,
     ScoreRows,
     state_dim,
 )
-from stc.mdp import NEXT, STOP, classify, initial_state, transition
+from stc.mdp import NEXT, STOP, action_block, classify, initial_state, n_action_blocks, transition
 
 
 def _doc_from_dense(rows, y):

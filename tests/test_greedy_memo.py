@@ -12,9 +12,9 @@ import pytest
 
 from conftest import columns, make_doc
 from stc.corpus import MONO_LABEL, MULTI_LABEL
-from stc.features import action_block, n_action_blocks, phi_state_action, state_dim
+from stc.features import phi_state_action, state_dim
 from stc.learn import RolloutConfig, build_training_set, mean_episode_reward, rollout_return, sample_state
-from stc.mdp import available_actions, classify, initial_state, prf1, transition, walk
+from stc.mdp import action_block, available_actions, classify, initial_state, n_action_blocks, prf1, transition, walk
 from stc.policy import ClassifierConfig, Greedy, LinearQ, policy_callable, train_linear
 
 
@@ -87,13 +87,13 @@ def test_greedy_training_set_equals_fresh_walks(instance, rollouts):
         batch = build_training_set(docs, policy, mode, cfg)
         want = _fresh_walk_training_set(docs, q, mode, cfg)
         _assert_same_rows(_expanded_rows(batch, n_categories), want)
-        memo = policy.outcomes if mode == MONO_LABEL else policy.values
-        assert memo, "greedy rollouts should fill the memo"
+        assert policy.outcomes, "greedy rollouts should fill the memo"
 
 
 def test_memo_reuses_the_candidate_episodes():
-    # mean_episode_reward walks each document once; sampling states from
-    # the same policy then reads those episodes instead of walking again.
+    # mean_episode_reward plays each document once; sampling states from
+    # the same policy then reads those episodes' live pairs instead of
+    # playing again, growing no score rows.
     docs, mode = _instances()[1]
     dim = state_dim(5, 3)
     q = LinearQ(np.random.default_rng(3).standard_normal(5 * dim), 3, dim)
@@ -101,13 +101,17 @@ def test_memo_reuses_the_candidate_episodes():
     reward = mean_episode_reward(docs, policy, mode)
     episodes = dict(policy.episodes)
     assert len(episodes) == len(docs)
+    filled = {doc: rows.filled for doc, rows in q._tables.items()}
+    step = policy_callable(Greedy(q), mode)
+    walked = {doc: walk(initial_state(doc), step, mode)[0] for doc in docs}
+    for doc in docs:
+        assert episodes[(doc, mode)] == [(s.p, s.assigned) for s in walked[doc][:-1]]
     for i in range(20):
         state = sample_state(docs, policy, mode, np.random.default_rng([1, i]))
-        assert any(state in states[:-1] for states in episodes.values())
-    assert all(policy.episodes[key] is states for key, states in episodes.items())
-    step = policy_callable(Greedy(q), mode)
-    fresh = [prf1(d.y, walk(initial_state(d), step, mode)[0][-1].assigned)[2] for d in docs]
-    assert reward == float(np.mean(fresh))
+        assert state in walked[state.doc][:-1]
+    assert all(policy.episodes[key] is pairs for key, pairs in episodes.items())
+    assert {doc: rows.filled for doc, rows in q._tables.items()} == filled
+    assert reward == float(np.mean([prf1(d.y, walked[d][-1].assigned)[2] for d in docs]))
 
 
 def test_mono_memo_reuses_the_scanned_outcomes():

@@ -10,7 +10,7 @@ from conftest import make_doc
 from stc import corpus as corpus_mod
 from stc import learn, synthetic
 from stc.corpus import MONO_LABEL, MULTI_LABEL, CategorySet
-from stc.features import action_block, phi_state, state_dim
+from stc.features import phi_state, state_dim
 from stc.learn import (
     RolloutConfig,
     build_training_set,
@@ -23,6 +23,7 @@ from stc.mdp import (
     MdpState,
     NEXT,
     STOP,
+    action_block,
     available_actions,
     classify,
     initial_state,
@@ -335,7 +336,9 @@ class TestBuildTrainingSet:
         batch = build_training_set(docs, Greedy(q), mode, RolloutConfig(n_states=120, seed=4))
         distinct = set(sampled)
         assert len(sampled) == 120 > 2 * len(distinct)
-        assert Counter(rolled) == Counter((s, a) for s in distinct for a in available_actions(s, mode))
+        # A state with one legal action is skipped before its rollout.
+        legal = {s: available_actions(s, mode) for s in distinct}
+        assert Counter(rolled) == Counter((s, a) for s in distinct if len(legal[s]) > 1 for a in legal[s])
         # Every draw still emits its own examples.
         assert len(_by_state(batch)) + batch.n_skipped_states == 120
 
@@ -377,8 +380,31 @@ class TestBuildTrainingSet:
         want = 0
         for ordinal in range(40):
             state = sample_state(docs, UniformRandom(), MONO_LABEL, np.random.default_rng([cfg.seed, ordinal]))
-            want += len(available_actions(state, MONO_LABEL))
+            n_legal = len(available_actions(state, MONO_LABEL))
+            want += n_legal if n_legal > 1 else 0  # a forced state is skipped before its rollout
         assert len(rolled) == want
+
+    @pytest.mark.parametrize("policy", [UniformRandom(), None], ids=["random", "greedy"])
+    def test_forced_draw_is_skipped_without_rollout_or_draw(self, policy, monkeypatch):
+        # Under the mono lock only stop is legal, so the state ties: its
+        # draw counts as skipped, with no rollout and nothing drawn.
+        doc = make_doc(3, [1, 0], vocab_size=5)
+        locked = MdpState(doc, 2, (0, 1))
+        policy = policy or Greedy(LinearQ.zeros(2, state_dim(5, 2)))
+        rngs = []
+
+        def locked_sample(docs, policy, mode, rng):
+            rngs.append((rng, rng.bit_generator.state))
+            return locked
+
+        def no_rollout(*args):
+            raise AssertionError("a state with one legal action needs no rollout")
+
+        monkeypatch.setattr(learn, "sample_state", locked_sample)
+        monkeypatch.setattr(learn, "rollout_return", no_rollout)
+        batch = build_training_set([doc], policy, MONO_LABEL, RolloutConfig(n_states=5, rollouts_per_state=3, seed=2))
+        assert batch.n_skipped_states == 5 and len(batch.examples) == 0
+        assert len(rngs) == 5 and all(rng.bit_generator.state == state for rng, state in rngs)
 
     def test_every_labeled_action_was_legal(self):
         docs = [make_doc(2, [1, 0, 0], seed=s) for s in range(2)]

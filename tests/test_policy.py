@@ -6,8 +6,8 @@ import pytest
 
 from conftest import columns, live_states, make_doc, score_table, sparse
 from stc.corpus import MONO_LABEL, MULTI_LABEL
-from stc.features import action_block, phi_state, state_dim
-from stc.mdp import NEXT, STOP, available_actions, classify, initial_state, transition, walk
+from stc.features import phi_state, state_dim
+from stc.mdp import NEXT, STOP, action_block, available_actions, classify, initial_state, transition, walk
 from stc.policy import (
     ClassifierConfig,
     Examples,

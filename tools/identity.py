@@ -15,6 +15,9 @@ whether a change kept every output bit. Per seed it digests:
 - ``multi``: the same three for a multi-label ``policy_iteration`` on
   acceptance criterion 8's corpus and split, with the library's default
   rollout settings and rollout seed = the seed;
+- ``multi-r3``: the same three for ``multi``'s split and settings with
+  three rollouts per state, so the draw order of several random
+  multi-label rollouts of one state is held to its bits;
 - ``grid-r8like``: the four report files of the benchmark's
   ``stc experiment`` workload;
 - ``grid-multi``: the four report files of ``stc experiment`` in
@@ -133,7 +136,7 @@ def _criterion_8_corpus():
     return synthetic.generate(spec)
 
 
-def _multi(seed: int) -> dict[str, str]:
+def _multi(seed: int, rollouts_per_state: int = 1) -> dict[str, str]:
     from stc import corpus, evaluation, learn, policy
 
     raw = _criterion_8_corpus()
@@ -144,7 +147,8 @@ def _multi(seed: int) -> dict[str, str]:
     vocab = corpus.build_vocabulary(train_raw)
     train = corpus.vectorize_corpus(train_raw, vocab, categories, "multi")
     test = corpus.vectorize_corpus([by_id[i] for i in split.test_ids], vocab, categories, "multi")
-    result = learn.policy_iteration(train, "multi", learn.RolloutConfig(seed=seed))
+    cfg = learn.RolloutConfig(rollouts_per_state=rollouts_per_state, seed=seed)
+    result = learn.policy_iteration(train, "multi", cfg)
     _, logs = evaluation.evaluate_policy(policy.Greedy(result.q), test, "multi")
     return _learner_digests(result, logs)
 
@@ -241,6 +245,7 @@ def main(argv=None) -> int:
                 "train-mono": _train_mono(workload, seed, mono_dir),
                 "train-mono-r3": _train_mono_r3(workload, seed, mono_r3_dir),
                 "multi": _multi(seed),
+                "multi-r3": _multi(seed, rollouts_per_state=3),
                 "grid-r8like": _grid(workload, seed, grid_dir),
                 "grid-multi": _grid_multi(seed, multi_dir),
                 "cli": _cli(seed, cli_dir),
