@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import corpus as corpus_mod
 from . import evaluation, features, learn
-from .baseline import BaselineModel, predict_baseline_matrix, train_baseline
+from .baseline import BaselineModel, train_baseline
 from .config import ConfigError, RunConfig, load_config
 from .corpus import CategorySet, Vocabulary
 from .mdp import initial_state, prf1, walk
@@ -30,45 +30,54 @@ EXIT_RUNTIME = 2
 EXIT_PARTIAL = 3
 
 
+class InputError(ValueError):
+    """Input that a command cannot use: ``main`` reports it under the
+    command's name and exits 1, before any compute."""
+
+
 def _eprint(*args) -> None:
     print(*args, file=sys.stderr)
 
 
-def _load_corpus(path) -> list:
-    docs, dropped = corpus_mod.load_jsonl(path)
+def _checked(check, *args):
+    """``check(*args)``, a ``ValueError`` from it raised as an ``InputError``."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
+
+
+def _load_corpus(path, mode: str | None = None) -> list:
+    """The corpus's documents. A malformed or empty corpus is an input
+    error, and so, with a task mode, is a document it cannot score; both
+    are raised before any split is made."""
+    docs, dropped = _checked(corpus_mod.load_jsonl, path)
     if dropped:
         _eprint(f"warning: dropped {dropped} empty document(s) from {path}")
     if not docs:
-        raise ValueError(f"corpus {path} contains no documents")
+        raise InputError(f"corpus {path} contains no documents")
+    if mode is not None:
+        _checked(corpus_mod.check_labels, docs, mode)
     return docs
 
 
 def cmd_convert(args) -> int:
-    try:
-        if args.layout == "cardoso":
-            if not args.train or not args.test:
-                _eprint("convert: layout 'cardoso' requires --train and --test")
-                return EXIT_VALIDATION
-            for path in (args.train, args.test):
-                if not Path(path).exists():
-                    _eprint(f"convert: input file not found: {path}")
-                    return EXIT_VALIDATION
-            docs = corpus_mod.convert_cardoso(args.train, args.test)
-        else:
-            if not args.root:
-                _eprint("convert: layout 'dirs-by-class' requires --root")
-                return EXIT_VALIDATION
-            if not Path(args.root).is_dir():
-                _eprint(f"convert: input directory not found: {args.root}")
-                return EXIT_VALIDATION
-            docs = corpus_mod.convert_dirs_by_class(args.root)
-    except ValueError as exc:
-        # Malformed or empty inputs are validation failures, not crashes.
-        _eprint(f"convert: {exc}")
-        return EXIT_VALIDATION
+    if args.layout == "cardoso":
+        if not args.train or not args.test:
+            raise InputError("layout 'cardoso' requires --train and --test")
+        for path in (args.train, args.test):
+            if not Path(path).exists():
+                raise InputError(f"input file not found: {path}")
+        convert, inputs = corpus_mod.convert_cardoso, (args.train, args.test)
+    else:
+        if not args.root:
+            raise InputError("layout 'dirs-by-class' requires --root")
+        if not Path(args.root).is_dir():
+            raise InputError(f"input directory not found: {args.root}")
+        convert, inputs = corpus_mod.convert_dirs_by_class, (args.root,)
+    docs = _checked(convert, *inputs)  # malformed or empty inputs are validation failures
     if not docs:
-        _eprint("convert: no documents found in the input")
-        return EXIT_VALIDATION
+        raise InputError("no documents found in the input")
     corpus_mod.save_jsonl(docs, args.out)
     stats = corpus_mod.corpus_stats(docs)
     print(
@@ -88,7 +97,7 @@ def _check_split(fraction: float, run: int) -> None:
 
 def _split(cfg: RunConfig, fraction: float, run: int):
     """The corpus, its categories and the split of (fraction, run)."""
-    raw_docs = _load_corpus(cfg.corpus)
+    raw_docs = _load_corpus(cfg.corpus, cfg.plan.mode)
     categories = CategorySet.from_documents(raw_docs)
     return raw_docs, categories, corpus_mod.make_splits(raw_docs, fraction, run + 1, cfg.plan.seed)[run]
 
@@ -145,42 +154,36 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg = load_config(args.config, _config_overrides(args))
     mode = cfg.plan.mode
-    record = load_model(args.model)
+    record = _checked(load_model, args.model)
     if record["mode"] != mode:
-        _eprint(f"evaluate: the model was trained for mode {record['mode']!r}, the config asks for {mode!r}")
-        return EXIT_VALIDATION
+        raise InputError(f"the model was trained for mode {record['mode']!r}, the config asks for {mode!r}")
     fraction = args.fraction if args.fraction is not None else record["metadata"]["fraction"]
     run = args.run if args.run is not None else record["metadata"]["run"]
     _check_split(fraction, run)
     raw_docs, categories, split = _split(cfg, fraction, run)
     train_raw, test_raw = corpus_mod.split_sides(raw_docs, split)
+    if not test_raw:
+        raise InputError(f"the split at fraction {fraction}, run {run} leaves no test document")
     vocab = corpus_mod.build_vocabulary(train_raw)
     if list(categories.names) != record["categories"]:
-        _eprint(
-            f"evaluate: the model was trained for categories {record['categories']}, "
-            f"the corpus has {list(categories.names)}"
+        raise InputError(
+            f"the model was trained for categories {record['categories']}, the corpus has {list(categories.names)}"
         )
-        return EXIT_VALIDATION
     if vocab.checksum() != record["vocab_checksum"]:
-        _eprint("evaluate: vocabulary checksum mismatch: the model was trained on a different split or corpus")
-        return EXIT_VALIDATION
+        raise InputError("vocabulary checksum mismatch: the model was trained on a different split or corpus")
     test_docs = corpus_mod.vectorize_corpus(test_raw, vocab, categories, mode)
-    n_categories = len(categories)
-    gold = evaluation.label_matrix([d.y for d in test_docs], n_categories)
     if record["kind"] == "policy":
-        _, logs = evaluation.evaluate_policy(Greedy(_policy_q(record, vocab)), test_docs, mode)
-        y_hat = evaluation.label_matrix([log.final_assigned for log in logs], n_categories)
-        metrics = {"method": "stc", "reading_size": evaluation.reading_size(logs)}
+        method, model = "stc", Greedy(_policy_q(record, vocab))
     else:
         import numpy as np
 
-        weights = np.stack([record["weights"][f"w_{k}"] for k in range(n_categories)])
-        y_hat = predict_baseline_matrix(BaselineModel(weights=weights, mode=record["mode"]), test_docs)
-        metrics = {"method": "baseline"}
-    metrics.update(fraction=fraction, run=run)
-    metrics["micro_f1"], metrics["macro_f1"] = evaluation.f1_scores(gold, y_hat)
+        weights = np.stack([record["weights"][f"w_{k}"] for k in range(len(categories))])
+        method, model = "baseline", BaselineModel(weights=weights, mode=record["mode"])
+    gold = evaluation.label_matrix([d.y for d in test_docs], len(categories))
+    scores, _ = evaluation.score(model, test_docs, mode, gold)
+    metrics = {"method": method, "fraction": fraction, "run": run, **scores}
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    metrics_path = cfg.output_dir / f"metrics_{metrics['method']}.json"
+    metrics_path = cfg.output_dir / f"metrics_{method}.json"
     with open(metrics_path, "w", encoding="utf-8") as fh:
         json.dump(metrics, fh, sort_keys=True, indent=1)
         fh.write("\n")
@@ -191,7 +194,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_experiment(args) -> int:
     cfg = load_config(args.config, _config_overrides(args))
-    raw_docs = _load_corpus(cfg.corpus)
+    raw_docs = _load_corpus(cfg.corpus, cfg.plan.mode)
     report = evaluation.run_experiment(raw_docs, cfg.plan)
     written = evaluation.write_report_files(report, cfg.output_dir)
     for name, path in sorted(written.items()):
@@ -204,21 +207,19 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    record = load_model(args.model)
+    record = _checked(load_model, args.model)
     if record["kind"] != "policy":
-        _eprint("trace: only reading-agent models have episode traces")
-        return EXIT_VALIDATION
+        raise InputError("only reading-agent models have episode traces")
     vocab = Vocabulary.from_record(record["metadata"]["vocabulary"])
     if vocab.checksum() != record["vocab_checksum"]:
-        _eprint("trace: vocabulary checksum mismatch: the model's stored vocabulary is not the one it was trained on")
-        return EXIT_VALIDATION
+        raise InputError("vocabulary checksum mismatch: the model's stored vocabulary is not the one it was trained on")
     raw_docs = _load_corpus(args.corpus)
     matches = [d for d in raw_docs if d.id == args.doc_id]
     if not matches:
-        _eprint(f"trace: document id {args.doc_id!r} not found in {args.corpus}")
-        return EXIT_VALIDATION
+        raise InputError(f"document id {args.doc_id!r} not found in {args.corpus}")
     categories = CategorySet(tuple(record["categories"]))
     mode = record["mode"]
+    _checked(corpus_mod.check_labels, matches, mode, categories)
     doc = corpus_mod.vectorize_corpus(matches, vocab, categories, mode)[0]
     q = _policy_q(record, vocab)
 
@@ -322,6 +323,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except InputError as exc:
+        _eprint(f"{args.command}: {exc}")
+        return EXIT_VALIDATION
     except ConfigError as exc:
         _eprint(f"configuration error: {exc}")
         return EXIT_VALIDATION

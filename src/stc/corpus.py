@@ -53,6 +53,7 @@ __all__ = [
     "convert_dirs_by_class",
     "build_vocabulary",
     "vectorize_sentence",
+    "check_labels",
     "vectorize_corpus",
     "split_sides",
     "prepare_split",
@@ -426,6 +427,18 @@ def vectorize_sentence(tokens: list[str], vocab: Vocabulary) -> SparseVector:
     return _TfidfBlock(*_term_ids([tokens], vocab), vocab).row(0)
 
 
+def check_labels(raw_docs: list[RawDocument], mode: TaskMode, categories: CategorySet | None = None) -> None:
+    """Reject, with a ``ValueError`` naming it, the first document whose
+    labels the task cannot score: one with several labels in mono-label
+    mode, or, when ``categories`` is given, one with a label outside them."""
+    known = None if categories is None else set(categories.names)
+    for raw in raw_docs:
+        if mode == MONO_LABEL and len(raw.labels) != 1:
+            raise ValueError(f"document {raw.id!r} has {len(raw.labels)} labels in mono-label mode")
+        if known is not None and not raw.labels <= known:
+            raise ValueError(f"document {raw.id!r} has unknown category {min(raw.labels - known)!r}")
+
+
 def vectorize_corpus(
     raw_docs: list[RawDocument],
     vocab: Vocabulary,
@@ -438,14 +451,11 @@ def vectorize_corpus(
     document one row of a second block, built from the same token ids.
     A document's sentence vectors are its ``SentenceRows``, built on first
     read; its document vector is built here, since the baseline reads
-    every one. Unknown labels raise; in mono-label mode multi-labeled
-    documents are rejected.
+    every one. Unknown labels raise, and so does a document that
+    ``check_labels`` rejects under ``mode``.
     """
-    labels = []
-    for raw in raw_docs:
-        if mode == MONO_LABEL and len(raw.labels) != 1:
-            raise ValueError(f"document {raw.id!r} has {len(raw.labels)} labels in mono-label mode")
-        labels.append(categories.label_vector(raw.labels))
+    check_labels(raw_docs, mode)
+    labels = [categories.label_vector(raw.labels) for raw in raw_docs]
     ids, lengths = _term_ids([tokens for raw in raw_docs for tokens in raw.tokens], vocab)
     sentences = _TfidfBlock(ids, lengths, vocab)
     n_sentences = np.fromiter((len(raw.tokens) for raw in raw_docs), dtype=np.int64, count=len(raw_docs))

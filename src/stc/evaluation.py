@@ -1,14 +1,18 @@
 """Metrics and the full experiment protocol.
 
 Micro-F1 pools confusion counts over every (document, class) pair; macro-F1
-averages per-class F1 over all configured classes. Both come from integer
-per-class counts of (n x C) gold and predicted label matrices, through
-``mdp.prf1_from_counts``, the formula ``prf1`` uses. Reading size is the mean
-fraction of sentences read per test document. The experiment driver sweeps
-training fractions and runs, trains both the reading agent and the baseline
-on each split (over small regularization grids), and aggregates per-cell
-results into deterministic report files. A split job builds its test side's
-gold label matrix once and scores every cell against it.
+averages per-class F1 over all configured classes. ``f1_scores`` takes both
+from integer per-class counts of (n x C) gold and predicted label matrices,
+through ``mdp.prf1_from_counts``, the formula ``prf1`` uses. Reading size is
+the mean fraction of sentences read per test document.
+
+The experiment protocol sweeps training fractions and runs. One cell table
+lists each method (baseline, then the reading agent) with its seed stream,
+lambda grid and fit: a split job builds its cells from it, all marked with
+the error when the split fails to prepare, and ``_aggregate`` picks each
+method's lambda from it. A split job builds its test side's gold matrix
+once, and ``score`` scores each fitted model against it, as ``stc evaluate``
+does for a saved one. One CSV routine writes every report table.
 """
 
 from __future__ import annotations
@@ -16,12 +20,13 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
+from pathlib import Path
 
 import numpy as np
 
 from . import corpus as corpus_mod
-from .baseline import predict_baseline_matrix, train_baseline
+from .baseline import BaselineModel, predict_baseline_matrix, train_baseline
 from .corpus import CategorySet, Document, RawDocument, Split, TaskMode
 from .learn import RolloutConfig, derived_seed, episode_log, policy_iteration
 from .mdp import EpisodeLog, prf1_from_counts
@@ -36,6 +41,7 @@ __all__ = [
     "reading_size",
     "reading_histogram",
     "evaluate_policy",
+    "score",
     "ExperimentPlan",
     "CellResult",
     "AggregateRow",
@@ -52,39 +58,9 @@ class Prediction:
     y_hat: tuple[int, ...]
 
 
-def _label_counts(y: np.ndarray, y_hat: np.ndarray) -> tuple[list[int], list[int], list[int]]:
-    """Per-class true positives, predictions and gold labels of two (n x C)
-    0/1 label matrices, as Python ints."""
-    gold, pred = y == 1, y_hat == 1
-    return (
-        np.count_nonzero(gold & pred, axis=0).tolist(),
-        np.count_nonzero(pred, axis=0).tolist(),
-        np.count_nonzero(gold, axis=0).tolist(),
-    )
-
-
-def _micro(counts) -> float:
-    tp, n_pred, n_gold = counts
-    return prf1_from_counts(sum(tp), sum(n_pred), sum(n_gold))[2]
-
-
-def _macro(counts, n_categories: int) -> float:
-    tp, n_pred, n_gold = counts
-    total = 0.0  # summed left to right: np.mean would sum pairwise
-    for k in range(n_categories):
-        total += prf1_from_counts(tp[k], n_pred[k], n_gold[k])[2]
-    return total / n_categories
-
-
 def label_matrix(rows, n_categories: int) -> np.ndarray:
     """The (n x C) int8 matrix of n 0/1 label rows, (0 x C) for none."""
     return np.array(rows, dtype=np.int8).reshape(len(rows), n_categories)
-
-
-def _prediction_counts(preds: list[Prediction]) -> tuple[list[int], list[int], list[int]]:
-    if not preds:
-        raise ValueError("no predictions")
-    return _label_counts(np.array([p.y for p in preds]), np.array([p.y_hat for p in preds]))
 
 
 def f1_scores(y: np.ndarray, y_hat: np.ndarray) -> tuple[float, float]:
@@ -93,18 +69,29 @@ def f1_scores(y: np.ndarray, y_hat: np.ndarray) -> tuple[float, float]:
         raise ValueError("no predictions")
     if y.shape != y_hat.shape:
         raise ValueError(f"label matrices differ in shape: {y.shape} vs {y_hat.shape}")
-    counts = _label_counts(y, y_hat)
-    return _micro(counts), _macro(counts, y.shape[1])
+    gold, pred = y == 1, y_hat == 1
+    tp = np.count_nonzero(gold & pred, axis=0).tolist()
+    n_pred = np.count_nonzero(pred, axis=0).tolist()
+    n_gold = np.count_nonzero(gold, axis=0).tolist()
+    macro = 0.0  # summed left to right: np.mean would sum pairwise
+    for k in range(y.shape[1]):
+        macro += prf1_from_counts(tp[k], n_pred[k], n_gold[k])[2]
+    return prf1_from_counts(sum(tp), sum(n_pred), sum(n_gold))[2], macro / y.shape[1]
+
+
+def _prediction_f1(preds: list[Prediction], n_categories: int) -> tuple[float, float]:
+    y = label_matrix([p.y for p in preds], n_categories)
+    return f1_scores(y, label_matrix([p.y_hat for p in preds], n_categories))
 
 
 def micro_f1(preds: list[Prediction]) -> float:
     """F1 of the confusion counts pooled over every (document, class) pair."""
-    return _micro(_prediction_counts(preds))
+    return _prediction_f1(preds, len(preds[0].y) if preds else 0)[0]
 
 
 def macro_f1(preds: list[Prediction], n_categories: int) -> float:
     """Unweighted mean of per-class F1 over all configured classes."""
-    return _macro(_prediction_counts(preds), n_categories)
+    return _prediction_f1(preds, n_categories)[1]
 
 
 def reading_size(logs: list[EpisodeLog]) -> float:
@@ -209,62 +196,70 @@ class ExperimentReport:
 _job_context: tuple[list[RawDocument], CategorySet, ExperimentPlan] | None = None
 
 
+def _fit_baseline(train_docs: list[Document], plan: ExperimentPlan, lam: float, seed: int) -> BaselineModel:
+    return train_baseline(train_docs, replace(plan.baseline, lam=lam, seed=seed), plan.mode)
+
+
+def _fit_policy(train_docs: list[Document], plan: ExperimentPlan, lam: float, seed: int) -> Greedy:
+    classifier = replace(plan.rollout.classifier, lam=lam)
+    result = policy_iteration(train_docs, plan.mode, replace(plan.rollout, classifier=classifier, seed=seed))
+    return Greedy(result.q)
+
+
+def _cell_table(plan: ExperimentPlan):
+    """(method, seed stream, lambda grid, fit) of each method, in report
+    order; a cell's seed stream and lambda index key its derived seed."""
+    return (
+        ("baseline", 1, plan.baseline_lambda_grid, _fit_baseline),
+        ("stc", 2, plan.stc_lambda_grid, _fit_policy),
+    )
+
+
+def score(
+    model: Greedy | BaselineModel, docs: list[Document], mode: TaskMode, gold: np.ndarray
+) -> tuple[dict[str, float], list[EpisodeLog]]:
+    """Micro- and macro-F1 of a fitted model's hard assignments on ``docs``
+    against their gold matrix; for a reading agent also its reading size,
+    with the greedy episode logs it was read off (none for the baseline)."""
+    if isinstance(model, BaselineModel):
+        micro, macro = f1_scores(gold, predict_baseline_matrix(model, docs))
+        return {"micro_f1": micro, "macro_f1": macro}, []
+    _, logs = evaluate_policy(model, docs, mode)
+    micro, macro = f1_scores(gold, label_matrix([log.final_assigned for log in logs], gold.shape[1]))
+    return {"micro_f1": micro, "macro_f1": macro, "reading_size": reading_size(logs)}, logs
+
+
 def _run_split_job(job: tuple[Split, int]) -> tuple[list[CellResult], dict[float, list[EpisodeLog]]]:
     """All method/lambda cells for one (fraction, run) split.
 
     Returns the cells plus, when the split's fraction is the histogram
-    fraction, the reading agent's test-side episode logs per lambda.
+    fraction, the reading agent's test-side episode logs per lambda. When
+    the split fails to prepare, every cell carries that error.
     """
     raw_docs, categories, plan = _job_context
     split, fraction_index = job
+    fraction, run = split.train_fraction, split.run_index
     cells: list[CellResult] = []
     logs_by_lambda: dict[float, list[EpisodeLog]] = {}
-    fraction, run = split.train_fraction, split.run_index
+    failure = None
     try:
         _, train_docs, test_docs = corpus_mod.prepare_split(raw_docs, categories, split, plan.mode)
+        gold = label_matrix([d.y for d in test_docs], len(categories))
     except Exception as exc:  # noqa: BLE001 - cell errors are recorded, not raised
-        message = f"split preparation failed: {exc}"
-        for lam in plan.baseline_lambda_grid:
-            cells.append(CellResult("baseline", fraction, run, lam, error=message))
-        for lam in plan.stc_lambda_grid:
-            cells.append(CellResult("stc", fraction, run, lam, error=message))
-        return cells, logs_by_lambda
-
-    n_categories = len(categories)
-    gold = label_matrix([d.y for d in test_docs], n_categories)
-    for lam_index, lam in enumerate(plan.baseline_lambda_grid):
-        cell = CellResult("baseline", fraction, run, lam)
-        try:
-            cfg = replace(
-                plan.baseline,
-                lam=lam,
-                seed=derived_seed(plan.seed, 1, fraction_index, run, lam_index),
-            )
-            model = train_baseline(train_docs, cfg, plan.mode)
-            cell.micro_f1, cell.macro_f1 = f1_scores(gold, predict_baseline_matrix(model, test_docs))
-        except Exception as exc:  # noqa: BLE001
-            cell.error = str(exc)
-        cells.append(cell)
-
-    for lam_index, lam in enumerate(plan.stc_lambda_grid):
-        cell = CellResult("stc", fraction, run, lam)
-        try:
-            classifier = replace(plan.rollout.classifier, lam=lam)
-            rollout_cfg = replace(
-                plan.rollout,
-                classifier=classifier,
-                seed=derived_seed(plan.seed, 2, fraction_index, run, lam_index),
-            )
-            result = policy_iteration(train_docs, plan.mode, rollout_cfg)
-            _, logs = evaluate_policy(Greedy(result.q), test_docs, plan.mode)
-            y_hat = label_matrix([log.final_assigned for log in logs], n_categories)
-            cell.micro_f1, cell.macro_f1 = f1_scores(gold, y_hat)
-            cell.reading_size = reading_size(logs)
-            if plan.histogram_fraction is not None and fraction == plan.histogram_fraction:
-                logs_by_lambda[lam] = logs
-        except Exception as exc:  # noqa: BLE001
-            cell.error = str(exc)
-        cells.append(cell)
+        failure = f"split preparation failed: {exc}"
+    for method, stream, grid, fit in _cell_table(plan):
+        for lam_index, lam in enumerate(grid):
+            cell = CellResult(method, fraction, run, lam, error=failure)
+            if failure is None:
+                try:
+                    model = fit(train_docs, plan, lam, derived_seed(plan.seed, stream, fraction_index, run, lam_index))
+                    scores, logs = score(model, test_docs, plan.mode, gold)
+                    cell = replace(cell, **scores)
+                    if logs and fraction == plan.histogram_fraction:
+                        logs_by_lambda[lam] = logs
+                except Exception as exc:  # noqa: BLE001
+                    cell.error = str(exc)
+            cells.append(cell)
     return cells, logs_by_lambda
 
 
@@ -272,19 +267,18 @@ _TIE = 1e-12
 
 
 def _aggregate(plan: ExperimentPlan, cells: list[CellResult]) -> list[AggregateRow]:
+    groups: dict[tuple[str, float, float], list[CellResult]] = {}
+    for c in cells:
+        if c.error is None:
+            groups.setdefault((c.method, c.fraction, c.lam), []).append(c)
     rows: list[AggregateRow] = []
-    for method, grid in (("baseline", plan.baseline_lambda_grid), ("stc", plan.stc_lambda_grid)):
+    for method, _, grid, _ in _cell_table(plan):
         for fraction in plan.fractions:
             candidates = []
             for lam in grid:
-                group = [
-                    c
-                    for c in cells
-                    if c.method == method and c.fraction == fraction and c.lam == lam and c.error is None
-                ]
-                if not group:
-                    continue
-                candidates.append((float(np.mean([c.micro_f1 for c in group])), lam, group))
+                group = groups.get((method, fraction, lam))
+                if group:
+                    candidates.append((float(np.mean([c.micro_f1 for c in group])), lam, group))
             if not candidates:
                 continue
             # Best mean micro-F1 wins; ties go to the smaller lambda. Means
@@ -369,67 +363,29 @@ def _format_value(value) -> str:
     return str(value)
 
 
+def _csv_header(cls) -> list[str]:
+    """A report dataclass's fields as CSV columns, in declaration order;
+    ``lam`` is written as ``lambda``."""
+    return ["lambda" if f.name == "lam" else f.name for f in fields(cls)]
+
+
+def _write_csv(path: Path, header: list[str], rows) -> str:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_format_value(value) for value in row] for row in rows)
+    return str(path)
+
+
 def write_report_files(report: ExperimentReport, out_dir) -> dict[str, str]:
     """Emit cells.csv, aggregate.csv, report.json and (when present)
     reading_histogram.csv. Output is byte-deterministic for a fixed plan."""
-    from pathlib import Path
-
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = {}
-
-    cells_path = out / "cells.csv"
-    with open(cells_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["method", "fraction", "run", "lambda", "micro_f1", "macro_f1", "reading_size", "error"])
-        for c in report.cells:
-            writer.writerow(
-                [
-                    c.method,
-                    _format_value(c.fraction),
-                    c.run,
-                    _format_value(c.lam),
-                    _format_value(c.micro_f1),
-                    _format_value(c.macro_f1),
-                    _format_value(c.reading_size),
-                    c.error or "",
-                ]
-            )
-    written["cells"] = str(cells_path)
-
-    aggregate_path = out / "aggregate.csv"
-    with open(aggregate_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            [
-                "method",
-                "fraction",
-                "lambda",
-                "n_runs",
-                "micro_f1_mean",
-                "micro_f1_std",
-                "macro_f1_mean",
-                "macro_f1_std",
-                "reading_size_mean",
-                "reading_size_std",
-            ]
-        )
-        for row in report.aggregates:
-            writer.writerow(
-                [
-                    row.method,
-                    _format_value(row.fraction),
-                    _format_value(row.lam),
-                    row.n_runs,
-                    _format_value(row.micro_f1_mean),
-                    _format_value(row.micro_f1_std),
-                    _format_value(row.macro_f1_mean),
-                    _format_value(row.macro_f1_std),
-                    _format_value(row.reading_size_mean),
-                    _format_value(row.reading_size_std),
-                ]
-            )
-    written["aggregate"] = str(aggregate_path)
+    written = {
+        "cells": _write_csv(out / "cells.csv", _csv_header(CellResult), map(astuple, report.cells)),
+        "aggregate": _write_csv(out / "aggregate.csv", _csv_header(AggregateRow), map(astuple, report.aggregates)),
+    }
 
     report_path = out / "report.json"
     payload = {
@@ -457,13 +413,7 @@ def write_report_files(report: ExperimentReport, out_dir) -> dict[str, str]:
         json.dump(payload, fh, sort_keys=True, indent=1)
         fh.write("\n")
     written["report"] = str(report_path)
-
     if report.histogram is not None:
-        histogram_path = out / "reading_histogram.csv"
-        with open(histogram_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["bin_lo", "bin_hi", "count"])
-            for lo, hi, count in report.histogram:
-                writer.writerow([_format_value(lo), _format_value(hi), count])
-        written["histogram"] = str(histogram_path)
+        columns = ["bin_lo", "bin_hi", "count"]
+        written["histogram"] = _write_csv(out / "reading_histogram.csv", columns, report.histogram)
     return written

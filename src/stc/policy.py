@@ -384,16 +384,36 @@ def save_model(
 
 
 def load_model(path, expected_checksum: str | None = None) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        record = json.load(fh)
-    if record.get("format_version") != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported model format version {record.get('format_version')!r}")
-    if expected_checksum is not None and record["vocab_checksum"] != expected_checksum:
-        raise ValueError("vocabulary checksum mismatch: model was trained against a different vocabulary")
-    weights = {}
-    for name, w in record["weights"].items():
-        vec = np.zeros(w["dim"])
-        vec[np.asarray(w["indices"], dtype=np.int64)] = w["values"]
-        weights[name] = vec
+    """The record that ``save_model`` wrote, with dense weights.
+
+    A file that cannot be read, is not a JSON object, has another format
+    version, lacks a field or fails ``expected_checksum`` raises one
+    ``ValueError`` that names ``path``.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            record = json.load(fh)
+        if not isinstance(record, dict):
+            raise ValueError("not a JSON object")
+        if record.get("format_version") != MODEL_FORMAT_VERSION:
+            raise ValueError(f"unsupported model format version {record.get('format_version')!r}")
+        for key in ("kind", "mode", "categories", "vocab_checksum", "weights", "metadata"):
+            if key not in record:
+                raise ValueError(f"missing field {key!r}")
+        if expected_checksum is not None and record["vocab_checksum"] != expected_checksum:
+            raise ValueError("vocabulary checksum mismatch: model was trained against a different vocabulary")
+        weights = {}
+        for name, w in record["weights"].items():
+            vec = np.zeros(w["dim"])
+            vec[np.asarray(w["indices"], dtype=np.int64)] = w["values"]
+            weights[name] = vec
+    except OSError as exc:
+        raise ValueError(f"model file {path}: {exc.strerror}") from None
+    except KeyError as exc:
+        raise ValueError(f"model file {path}: missing field {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"model file {path}: not JSON ({exc})") from None
+    except ValueError as exc:
+        raise ValueError(f"model file {path}: {exc}") from None
     record["weights"] = weights
     return record

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from stc import corpus as corpus_mod
-from stc import synthetic
+from stc import evaluation, synthetic
 from stc.cli import main
 from stc.config import ConfigError, load_config
 from stc.corpus import save_jsonl
@@ -40,6 +40,24 @@ def config_file(tmp_path, corpus_file):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config), encoding="utf-8")
     return path
+
+
+def _relabelled(corpus_file, tmp_path, labels):
+    """A copy of the corpus whose first document is 'm1' with ``labels``."""
+    records = [json.loads(line) for line in corpus_file.read_text().splitlines()]
+    records[0].update(id="m1", labels=labels)
+    path = tmp_path / "relabelled.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    return path
+
+
+@pytest.fixture
+def split_calls(monkeypatch):
+    """Every ``corpus.make_splits`` call of the test."""
+    calls = []
+    real = corpus_mod.make_splits
+    monkeypatch.setattr(corpus_mod, "make_splits", lambda *args: calls.append(args) or real(*args))
+    return calls
 
 
 class TestConfig:
@@ -218,6 +236,24 @@ class TestTrainEvaluateTrace:
         assert "micro_f1" in out
         assert (tmp_path / "out" / "metrics_baseline.json").exists()
 
+    @pytest.mark.parametrize("method", ["baseline", "stc"])
+    def test_evaluate_scores_a_model_the_way_a_split_job_does(self, config_file, tmp_path, monkeypatch, method):
+        assert main(["train", "--config", str(config_file), "--method", method]) == 0
+        scored = []
+        real = evaluation.score
+
+        def spy(*args):
+            scores, logs = real(*args)
+            scored.append(scores)
+            return scores, logs
+
+        monkeypatch.setattr(evaluation, "score", spy)
+        model = tmp_path / "out" / f"{method}.model.json"
+        assert main(["evaluate", "--config", str(config_file), "--model", str(model)]) == 0
+        metrics = json.loads((tmp_path / "out" / f"metrics_{method}.json").read_text())
+        assert len(scored) == 1 and ("reading_size" in scored[0]) == (method == "stc")
+        assert metrics == {"method": method, "fraction": 0.5, "run": 0, **scored[0]}
+
     def test_stc_train_writes_telemetry_and_trace_runs(self, config_file, corpus_file, tmp_path, capsys):
         assert main(["train", "--config", str(config_file), "--method", "stc"]) == 0
         model = tmp_path / "out" / "stc.model.json"
@@ -376,6 +412,81 @@ class TestTrainEvaluateTrace:
         assert loads == []
         assert not (tmp_path / "out" / "metrics_baseline.json").exists()
 
+    @pytest.mark.parametrize("method", ["baseline", "stc"])
+    def test_train_rejects_a_multi_labelled_document_in_mono_mode(
+        self, config_file, corpus_file, tmp_path, capsys, split_calls, method
+    ):
+        bad = _relabelled(corpus_file, tmp_path, ["bravo", "delta"])
+        assert main(["train", "--config", str(config_file), "--method", method, "--corpus", str(bad)]) == 1
+        assert "document 'm1' has 2 labels in mono-label mode" in capsys.readouterr().err
+        assert split_calls == []
+        assert not (tmp_path / "out").exists()
+
+    def test_evaluate_rejects_a_multi_labelled_document_in_mono_mode(
+        self, config_file, corpus_file, tmp_path, capsys, split_calls
+    ):
+        assert main(["train", "--config", str(config_file), "--method", "baseline"]) == 0
+        split_calls.clear()
+        bad = _relabelled(corpus_file, tmp_path, ["bravo", "delta"])
+        model = tmp_path / "out" / "baseline.model.json"
+        assert main(["evaluate", "--config", str(config_file), "--model", str(model), "--corpus", str(bad)]) == 1
+        assert "evaluate: " in (err := capsys.readouterr().err) and "document 'm1' has 2 labels" in err
+        assert split_calls == []
+        assert not (tmp_path / "out" / "metrics_baseline.json").exists()
+
+    @pytest.mark.parametrize(
+        "labels, message",
+        [(["bravo", "delta"], "document 'm1' has 2 labels in mono-label mode"),
+         (["zzz"], "document 'm1' has unknown category 'zzz'")],
+    )
+    def test_trace_rejects_a_document_the_model_cannot_score(
+        self, config_file, corpus_file, tmp_path, capsys, monkeypatch, labels, message
+    ):
+        assert main(["train", "--config", str(config_file), "--method", "stc"]) == 0
+        model = tmp_path / "out" / "stc.model.json"
+        assert json.loads(model.read_text())["categories"] == ["bravo", "delta"]
+        bad = _relabelled(corpus_file, tmp_path, labels)
+        vectorized = []
+        monkeypatch.setattr(corpus_mod, "vectorize_corpus", lambda *args: vectorized.append(args))
+        capsys.readouterr()
+        assert main(["trace", "--model", str(model), "--corpus", str(bad), "--doc-id", "m1"]) == 1
+        out, err = capsys.readouterr()
+        assert message in err and err.startswith("trace: ") and out == ""
+        assert vectorized == []
+
+    def test_evaluate_rejects_a_split_without_test_documents(self, config_file, tmp_path, capsys):
+        # ceil(0.97 * 30) = 30: the model trains on every document.
+        assert main(["train", "--config", str(config_file), "--method", "baseline", "--fraction", "0.97"]) == 0
+        model = tmp_path / "out" / "baseline.model.json"
+        assert main(["evaluate", "--config", str(config_file), "--model", str(model)]) == 1
+        assert "evaluate: the split at fraction 0.97, run 0 leaves no test document" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "metrics_baseline.json").exists()
+
+    @pytest.mark.parametrize("fault", ["missing", "not JSON", "no weights", "no mode"])
+    @pytest.mark.parametrize("command", ["evaluate", "trace"])
+    def test_a_missing_or_malformed_model_file_is_a_validation_error(
+        self, config_file, corpus_file, tmp_path, capsys, command, fault
+    ):
+        model = tmp_path / "model.json"
+        if fault == "not JSON":
+            model.write_text("{not json", encoding="utf-8")
+        elif fault in ("no weights", "no mode"):
+            assert main(["train", "--config", str(config_file), "--method", "stc"]) == 0
+            record = json.loads((tmp_path / "out" / "stc.model.json").read_text())
+            del record[fault.split()[1]]
+            model.write_text(json.dumps(record), encoding="utf-8")
+        capsys.readouterr()
+        argv = {
+            "evaluate": ["evaluate", "--config", str(config_file), "--model", str(model)],
+            "trace": ["trace", "--model", str(model), "--corpus", str(corpus_file), "--doc-id", "any"],
+        }[command]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"{command}: model file {model}: ")
+        reasons = {"missing": "No such file", "not JSON": "not JSON", "no weights": "missing field 'weights'",
+                   "no mode": "missing field 'mode'"}
+        assert reasons[fault] in err
+
     def test_invalid_config_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{}")
@@ -398,3 +509,51 @@ class TestExperimentCommand:
         assert main(["experiment", "--config", str(config_file)]) == 0
         second = {p.name: p.read_bytes() for p in out_dir.iterdir() if p.suffix in (".csv", ".json")}
         assert first == second
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [('{"id": "e1", "labels": ["a"], "sentences": [""]}\n', "contains no documents"),
+         ('{"id": "e1", "labels": ["a"]\n', "line 1: invalid JSON")],
+    )
+    def test_experiment_rejects_an_empty_or_malformed_corpus(
+        self, config_file, tmp_path, capsys, split_calls, text, message
+    ):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(text, encoding="utf-8")
+        assert main(["experiment", "--config", str(config_file), "--corpus", str(bad)]) == 1
+        assert message in capsys.readouterr().err
+        assert split_calls == []
+        assert not (tmp_path / "out").exists()
+
+    def test_experiment_rejects_a_multi_labelled_document_in_mono_mode(
+        self, config_file, corpus_file, tmp_path, capsys, split_calls
+    ):
+        bad = _relabelled(corpus_file, tmp_path, ["bravo", "delta"])
+        assert main(["experiment", "--config", str(config_file), "--corpus", str(bad)]) == 1
+        assert "experiment: document 'm1' has 2 labels in mono-label mode" in capsys.readouterr().err
+        assert split_calls == []
+        assert not (tmp_path / "out").exists()
+
+    def test_a_fraction_without_test_documents_gives_a_partial_report_and_exit_3(self, tmp_path, capsys):
+        spec = synthetic.SyntheticSpec(
+            n_categories=2, docs_per_class=9, sentences_per_doc=3,
+            keyword_positions=(1, 2), noise_vocab_size=8, seed=4,
+        )
+        save_jsonl(synthetic.generate(spec), tmp_path / "small.jsonl")
+        config = {
+            "corpus": "small.jsonl", "mode": "mono", "seed": 5, "output_dir": "out",
+            "fractions": [0.5, 0.95], "n_runs": 2,
+            "stc": {"n_states": 60, "iterations": 2, "epochs": 3},
+            "baseline": {"epochs": 3, "lambda_grid": [1e-4, 1e-3]},
+            "histogram": {"fraction": 0.5, "bins": 5},
+        }
+        (tmp_path / "run.json").write_text(json.dumps(config), encoding="utf-8")
+        assert main(["experiment", "--config", str(tmp_path / "run.json")]) == 3
+        assert "experiment finished with 6 failed cell(s)" in capsys.readouterr().err
+        out_dir = tmp_path / "out"
+        report = json.loads((out_dir / "report.json").read_text())
+        assert report["complete"] is False
+        assert [c["error"] for c in report["cells"] if c["fraction"] == 0.95] == ["no predictions"] * 6
+        assert {a["fraction"] for a in report["aggregates"]} == {0.5}
+        assert sum(count for _, _, count in report["histogram"]) == 2 * 9
+        assert (out_dir / "cells.csv").read_text().count(",no predictions\n") == 6

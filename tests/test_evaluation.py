@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -208,6 +209,20 @@ def _tiny_corpus(seed=0):
     return synthetic.generate(spec)
 
 
+def _partial_corpus():
+    """18 documents: at fraction 0.95 every split trains on all of them and
+    leaves no test document."""
+    spec = synthetic.SyntheticSpec(
+        n_categories=2,
+        docs_per_class=9,
+        sentences_per_doc=3,
+        keyword_positions=(1, 2),
+        noise_vocab_size=8,
+        seed=0,
+    )
+    return synthetic.generate(spec)
+
+
 class TestAggregate:
     def test_rounding_tie_goes_to_smaller_lambda(self):
         # 155 of 400 test documents right at both lambdas: the means tie in
@@ -323,17 +338,59 @@ class TestRunExperiment:
             assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes(), name
 
     def test_aggregate_csv_columns_match_report_json(self, tmp_path):
-        write_report_files(run_experiment(_tiny_corpus(seed=3), _tiny_plan()), tmp_path)
-        with open(tmp_path / "aggregate.csv", newline="", encoding="utf-8") as fh:
-            rows = list(csv.DictReader(fh))
-        aggregates = json.loads((tmp_path / "report.json").read_text())["aggregates"]
-        assert len(rows) == len(aggregates)
-        for row, aggregate in zip(rows, aggregates):
-            assert row.pop("method") == aggregate.pop("method")
-            aggregate["lambda"] = aggregate.pop("lam")
-            assert set(row) == set(aggregate)
-            for column, value in aggregate.items():
-                assert (float(row[column]) if row[column] else None) == value, column
+        # A partial grid, so that cells.csv also holds error messages.
+        report = run_experiment(_partial_corpus(), _tiny_plan(fractions=(0.5, 0.95), baseline_lambda_grid=(1e-4, 1e-3)))
+        write_report_files(report, tmp_path)
+        payload = json.loads((tmp_path / "report.json").read_text())
+        histogram = [dict(zip(("bin_lo", "bin_hi", "count"), entry)) for entry in payload["histogram"]]
+        for name, entries in (
+            ("aggregate.csv", payload["aggregates"]),
+            ("cells.csv", payload["cells"]),
+            ("reading_histogram.csv", histogram),
+        ):
+            with open(tmp_path / name, newline="", encoding="utf-8") as fh:
+                rows = list(csv.DictReader(fh))
+            assert rows and len(rows) == len(entries), name
+            for row, entry in zip(rows, entries):
+                if "lam" in entry:
+                    entry["lambda"] = entry.pop("lam")
+                assert set(row) == set(entry), name
+                for column, value in entry.items():
+                    text = row[column]
+                    assert (text if isinstance(value, str) else float(text) if text else None) == value, (name, column)
+
+    def test_a_fraction_without_test_documents_fails_only_its_cells(self):
+        raw = _partial_corpus()
+        plan = _tiny_plan(fractions=(0.5, 0.95), baseline_lambda_grid=(1e-4, 1e-3), stc_lambda_grid=(1e-3, 1e-2))
+        assert math.ceil(0.95 * len(raw)) == len(raw)  # the 0.95 splits leave no test document
+        report = run_experiment(raw, plan)
+        assert not report.complete
+        cells = [(c.method, c.fraction, c.run, c.lam, c.error) for c in report.cells]
+        table = [("baseline", 1e-4), ("baseline", 1e-3), ("stc", 1e-3), ("stc", 1e-2)]
+        assert cells == [
+            (method, fraction, run, lam, None if fraction == 0.5 else "no predictions")
+            for fraction in (0.5, 0.95)
+            for run in range(plan.n_runs)
+            for method, lam in table
+        ]
+        failed = [c for c in report.cells if c.error is not None]
+        assert all(c.micro_f1 is None and c.macro_f1 is None and c.reading_size is None for c in failed)
+        assert [(r.method, r.fraction, r.n_runs) for r in report.aggregates] == [("baseline", 0.5, 2), ("stc", 0.5, 2)]
+        # Pooled over the 0.5 runs: 2 x 9 test documents.
+        assert sum(count for _, _, count in report.histogram) == 2 * (len(raw) - math.ceil(0.5 * len(raw)))
+
+    def test_split_preparation_failure_marks_every_cell_in_table_order(self):
+        raw = _tiny_corpus(seed=1)
+        raw[3].labels = frozenset(label for d in raw for label in d.labels)  # both categories
+        plan = _tiny_plan(fractions=(0.3, 0.5), baseline_lambda_grid=(1e-4, 1e-3), stc_lambda_grid=(1e-3, 1e-2))
+        report = run_experiment(raw, plan)
+        message = f"split preparation failed: document {raw[3].id!r} has 2 labels in mono-label mode"
+        table = [("baseline", 1e-4), ("baseline", 1e-3), ("stc", 1e-3), ("stc", 1e-2)]
+        assert [(c.method, c.fraction, c.run, c.lam) for c in report.cells] == [
+            (method, fraction, run, lam) for fraction in (0.3, 0.5) for run in range(plan.n_runs) for method, lam in table
+        ]
+        assert all(c.error == message and c.micro_f1 is None for c in report.cells)
+        assert not report.complete and report.aggregates == [] and report.histogram is None
 
     def test_each_sentence_tokenized_once_and_jobs_hold_no_documents(self, monkeypatch):
         raw = _tiny_corpus(seed=4)

@@ -1,4 +1,5 @@
 import itertools
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -486,3 +487,19 @@ class TestModelIO:
         save_model(path, "policy", "mono", ["a", "b"], "right", {"theta": np.zeros(4)})
         with pytest.raises(ValueError, match="checksum"):
             load_model(path, expected_checksum="wrong")
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            (None, "No such file"),
+            ("{not json", "not JSON"),
+            ("[1, 2]", "not a JSON object"),
+            ('{"format_version": 1}', "missing field 'kind'"),
+        ],
+    )
+    def test_a_faulty_file_raises_one_value_error_naming_it(self, tmp_path, text, reason):
+        path = tmp_path / "model.json"
+        if text is not None:
+            path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^model file {re.escape(str(path))}: .*{reason}"):
+            load_model(path)

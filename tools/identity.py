@@ -24,6 +24,10 @@ whether a change kept every output bit. Per seed it digests:
   multi-label mode on criterion 8's corpus, with a small plan (two
   fractions x two runs, 300 states x 2 iterations, the default baseline
   grid), so the multi-label baseline threshold and F1 cells are digested;
+- ``grid-partial``: the four report files and the exit code of a partial
+  ``stc experiment``: 18 documents at fractions 0.5 and 0.95, where
+  every 0.95 split trains on all of them and leaves no test document, so
+  the failed cells and their report bytes are digested too;
 - ``vectors``: every sentence vector and document vector of
   ``train-mono``'s split and of ``grid-r8like``'s first split (its
   smallest fraction, run 0), training side then test side, as indices
@@ -186,6 +190,32 @@ def _grid_multi(seed: int, run_dir: Path) -> dict[str, str]:
         return {name: _sha(Path("out", name).read_bytes()) for name in names}
 
 
+def _grid_partial(seed: int, run_dir: Path) -> dict[str, str]:
+    from stc import cli, corpus, synthetic
+
+    spec = synthetic.SyntheticSpec(
+        n_categories=2, docs_per_class=9, sentences_per_doc=3, keyword_positions=(1, 2), noise_vocab_size=8, seed=4
+    )
+    config = {
+        "corpus": "corpus.jsonl",
+        "mode": "mono",
+        "seed": seed,
+        "output_dir": "out",
+        "fractions": [0.5, 0.95],
+        "n_runs": 2,
+        "stc": {"n_states": 60, "iterations": 2, "lambda_grid": [1e-3, 1e-2]},
+        "baseline": {"lambda_grid": [1e-4, 1e-3]},
+        "histogram": {"fraction": 0.5, "bins": 5},
+    }
+    names = ("cells.csv", "aggregate.csv", "report.json", "reading_histogram.csv")
+    with contextlib.chdir(run_dir):
+        corpus.save_jsonl(synthetic.generate(spec), "corpus.jsonl")
+        Path("run.json").write_text(json.dumps(config), encoding="utf-8")
+        with contextlib.redirect_stdout(sys.stderr):
+            code = cli.main(["experiment", "--config", "run.json"])
+        return {"exit": str(code), **{name: _sha(Path("out", name).read_bytes()) for name in names}}
+
+
 def _cli(seed: int, run_dir: Path) -> dict[str, str]:
     from stc import cli, corpus, synthetic
 
@@ -236,10 +266,12 @@ def main(argv=None) -> int:
 
     for seed in _seeds(args.seeds):
         with tempfile.TemporaryDirectory() as tmp:
-            names = ("mono", "mono-r3", "grid", "grid-multi", "cli", "vectors/train-mono", "vectors/grid-r8like")
+            names = (
+                "mono", "mono-r3", "grid", "grid-multi", "cli", "grid-partial", "vectors/train-mono", "vectors/grid-r8like"
+            )
             for name in names:
                 Path(tmp, name).mkdir(parents=True)
-            mono_dir, mono_r3_dir, grid_dir, multi_dir, cli_dir = (Path(tmp, name) for name in names[:5])
+            mono_dir, mono_r3_dir, grid_dir, multi_dir, cli_dir, partial_dir = (Path(tmp, name) for name in names[:6])
             record = {
                 "seed": seed,
                 "train-mono": _train_mono(workload, seed, mono_dir),
@@ -248,6 +280,7 @@ def main(argv=None) -> int:
                 "multi-r3": _multi(seed, rollouts_per_state=3),
                 "grid-r8like": _grid(workload, seed, grid_dir),
                 "grid-multi": _grid_multi(seed, multi_dir),
+                "grid-partial": _grid_partial(seed, partial_dir),
                 "cli": _cli(seed, cli_dir),
                 "vectors": _vectors(workload, seed, Path(tmp, "vectors")),
             }
